@@ -12,6 +12,8 @@
 //! * frequency source — reported vs measured TSC frequency for the Gen 1
 //!   fingerprint (the paper's §4.2 decision).
 
+#![allow(missing_docs, reason = "criterion_main! expands to an undocumented fn")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -8,6 +8,8 @@
 //! * `campaign_throughput` — a quick-scale experiment grid end to end
 //!   (spec expansion → execution → records) at 1, 2, and 8 workers.
 
+#![allow(missing_docs, reason = "criterion_main! expands to an undocumented fn")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

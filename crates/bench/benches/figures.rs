@@ -6,6 +6,8 @@
 //! reproduces each figure, and catch performance regressions in the
 //! placement, fingerprinting, and verification paths.
 
+#![allow(missing_docs, reason = "criterion_main! expands to an undocumented fn")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

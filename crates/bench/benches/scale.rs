@@ -32,6 +32,8 @@
 //! (linear sampling + full-scan capacity): the measured gap is what the
 //! differential tests buy us the license to keep.
 
+#![allow(missing_docs, reason = "criterion_main! expands to an undocumented fn")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;

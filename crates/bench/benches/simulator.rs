@@ -3,6 +3,8 @@
 //! cost of scaling experiments up (e.g. a 2000-host us-central1 world or
 //! an 800-instance launch) and catch regressions in the hot paths.
 
+#![allow(missing_docs, reason = "criterion_main! expands to an undocumented fn")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

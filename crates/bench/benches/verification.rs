@@ -2,6 +2,8 @@
 //! measured-frequency procedure, the verification-cost comparison (the
 //! paper's central efficiency claim), and the Gen 2 fingerprint sweep.
 
+#![allow(missing_docs, reason = "criterion_main! expands to an undocumented fn")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -4,9 +4,6 @@
 //! drivers at reduced scale; the `repro` binary regenerates every table and
 //! figure at paper scale. This library holds the shared formatting helpers.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 use eaao_simcore::series::Series;
 use eaao_simcore::stats::Summary;
 

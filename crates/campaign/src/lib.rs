@@ -40,9 +40,6 @@
 //! `results.jsonl`. Tracing never perturbs results: `results.jsonl` is
 //! byte-identical with tracing on or off (see `docs/OBSERVABILITY.md`).
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod aggregate;
 pub mod engine;
 pub mod pool;

@@ -56,7 +56,10 @@ pub struct ContainerInstance {
 impl ContainerInstance {
     /// Creates an instance in the `Active` state (it starts by serving the
     /// request that triggered its creation).
-    #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the record
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one-shot constructor mirroring the record"
+    )]
     pub fn new(
         id: InstanceId,
         service: ServiceId,

@@ -33,9 +33,6 @@
 //! `cloudsim.hosts_generated`, …) so campaign records report how hard the
 //! simulated hardware was driven.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod account;
 pub mod cpu;
 pub mod datacenter;

@@ -206,7 +206,10 @@ pub fn region_config(name: &str) -> RegionConfig {
         "us-east1" => RegionConfig::us_east1(),
         "us-central1" => RegionConfig::us_central1(),
         "us-west1" => RegionConfig::us_west1(),
-        // tidy:allow(panic-policy) -- documented `# Panics` contract: CLI-facing preset lookup, names are closed-set
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract: CLI-facing preset lookup, names are closed-set"
+        )]
         other => panic!("unknown region {other:?}"),
     }
 }

@@ -22,9 +22,6 @@
 //! `eaao-obs` spans and counters; run any binary with `--trace FILE` to
 //! watch them (see `docs/OBSERVABILITY.md`).
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod cluster;
 pub mod coverage;
 pub mod experiment;

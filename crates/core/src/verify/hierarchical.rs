@@ -55,6 +55,10 @@ impl VerificationOutcome {
     /// # Panics
     ///
     /// Panics if an instance was not part of the verification.
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` contract: callers pass verified instances only"
+    )]
     pub fn labels_for(&self, instances: &[InstanceId]) -> Vec<usize> {
         instances
             .iter()
@@ -62,7 +66,6 @@ impl VerificationOutcome {
                 self.clusters
                     .iter()
                     .position(|c| c.contains(id))
-                    // tidy:allow(panic-policy) -- documented `# Panics` contract: callers pass verified instances only
                     .unwrap_or_else(|| panic!("instance {id} not verified"))
             })
             .collect()

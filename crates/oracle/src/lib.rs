@@ -28,9 +28,6 @@
 //! [`OptimizedEngine`]: eaao_orchestrator::engine::OptimizedEngine
 //! [`minimize`]: minimize::minimize
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod minimize;
 pub mod reference;
 pub mod schedule;

@@ -80,6 +80,10 @@ impl IndexSampler for LinearSampler {
         self.total = checked_sum(&self.weights);
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "sampler contract: callers draw `target < total()`; out-of-range is a caller bug, mirrored from wsample"
+    )]
     fn locate(&self, target: u64) -> usize {
         let mut cum = 0u64;
         for (i, &w) in self.weights.iter().enumerate() {
@@ -88,7 +92,6 @@ impl IndexSampler for LinearSampler {
                 return i;
             }
         }
-        // tidy:allow(panic-policy) -- sampler contract: callers draw `target < total()`; out-of-range is a caller bug, mirrored from wsample
         panic!("target {target} >= total {cum}");
     }
 }

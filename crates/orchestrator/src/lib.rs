@@ -34,9 +34,6 @@
 //! (`orchestrator.*`, `world.*`, `autoscaler.*` — see
 //! `docs/OBSERVABILITY.md`).
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod autoscaler;
 pub mod config;
 pub mod demand;

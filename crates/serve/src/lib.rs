@@ -29,9 +29,6 @@
 //! and spawn service threads; `eaao-tidy`'s `net-policy` check keeps it
 //! that way.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod client;
 pub mod proto;
 pub mod server;

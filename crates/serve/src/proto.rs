@@ -44,6 +44,11 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// garbage length prefix cannot trigger a multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// The most a frame's declared length reserves before its body bytes
+/// arrive; larger bodies grow the buffer as they are read, so a bare
+/// length prefix cannot make the reader allocate [`MAX_FRAME_BYTES`].
+const BODY_PREALLOC_BYTES: usize = 64 * 1024;
+
 /// Frames sent by a client.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ClientFrame {
@@ -217,10 +222,10 @@ pub fn read_frame<T: serde::de::DeserializeOwned>(
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::Oversized(len));
     }
-    let mut body = vec![0u8; len];
-    match read_exact_or_eof(reader, &mut body)? {
-        Fill::Full => {}
-        Fill::Empty | Fill::Partial => return Err(FrameError::Truncated),
+    let mut body = Vec::with_capacity(len.min(BODY_PREALLOC_BYTES));
+    reader.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(FrameError::Truncated);
     }
     let text = String::from_utf8(body).map_err(|error| FrameError::Garbage(error.to_string()))?;
     let frame =
@@ -317,6 +322,36 @@ mod tests {
         assert!(matches!(result, Err(FrameError::Oversized(_))));
     }
 
+    /// A reader that records the largest buffer it is handed.
+    struct Recording {
+        inner: Cursor<Vec<u8>>,
+        largest: usize,
+    }
+
+    impl Read for Recording {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_alone_does_not_allocate_the_declared_body() {
+        let mut bytes = (MAX_FRAME_BYTES as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(b"{\"H");
+        let mut reader = Recording {
+            inner: Cursor::new(bytes),
+            largest: 0,
+        };
+        let result: Result<Option<ClientFrame>, _> = read_frame(&mut reader);
+        assert!(matches!(result, Err(FrameError::Truncated)));
+        assert!(
+            reader.largest <= BODY_PREALLOC_BYTES,
+            "reader was handed a {}-byte buffer",
+            reader.largest
+        );
+    }
+
     #[test]
     fn garbage_body_is_a_garbage_error() {
         let body = b"not json at all";
@@ -324,5 +359,116 @@ mod tests {
         bytes.extend_from_slice(body);
         let result: Result<Option<ClientFrame>, _> = read_frame(&mut Cursor::new(bytes));
         assert!(matches!(result, Err(FrameError::Garbage(_))));
+    }
+
+    /// The variant names of a wire enum, checked by a wildcard-free match:
+    /// a new variant does not compile until it is listed here.
+    macro_rules! frame_names {
+        ($enum:ident: $($variant:ident),+) => {{
+            fn _exhaustive(frame: &$enum) {
+                match frame {
+                    $($enum::$variant { .. } => {})+
+                }
+            }
+            [$(stringify!($variant)),+]
+        }};
+    }
+
+    /// Every way `enum_name`'s frames `names` drift from the peer source
+    /// that must handle them (`ClientFrame::V` tokens outside its tests)
+    /// and from the frame table after `<!-- wire frames: enum_name -->`
+    /// in the docs.
+    fn wire_drift(enum_name: &str, names: &[&str], peer: &str, doc: &str) -> Vec<String> {
+        let peer = peer.split("#[cfg(test)]").next().unwrap_or(peer);
+        let handled = |name: &str| {
+            let token = format!("{enum_name}::{name}");
+            peer.match_indices(&token).any(|(at, _)| {
+                !peer[at + token.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            })
+        };
+        let marker = format!("<!-- wire frames: {enum_name} -->");
+        let documented: Vec<&str> = doc
+            .split_once(&marker)
+            .map(|(_, after)| {
+                after
+                    .trim_start()
+                    .lines()
+                    .take_while(|line| line.starts_with('|'))
+                    .filter_map(|row| row.trim_start_matches('|').trim().strip_prefix('`'))
+                    .map(|cell| {
+                        cell.split(|c: char| !c.is_alphanumeric())
+                            .next()
+                            .unwrap_or("")
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        let mut drift = Vec::new();
+        if documented.is_empty() {
+            drift.push(format!("no frame table after `{marker}`"));
+        }
+        for name in names {
+            if !handled(name) {
+                drift.push(format!("`{enum_name}::{name}` is unhandled by its peer"));
+            }
+            if !documented.contains(name) {
+                drift.push(format!("`{enum_name}::{name}` is undocumented"));
+            }
+        }
+        for name in &documented {
+            if !names.contains(name) {
+                drift.push(format!("documented `{enum_name}::{name}` is stale"));
+            }
+        }
+        drift
+    }
+
+    #[test]
+    fn wire_frames_match_their_peers_and_the_service_docs() {
+        let doc = include_str!("../../../docs/SERVICE.md");
+        let client = frame_names!(ClientFrame: Hello, Submit, Shutdown);
+        let server = frame_names!(
+            ServerFrame: Welcome,
+            Accepted,
+            Rejected,
+            Busy,
+            Record,
+            Done,
+            ShuttingDown,
+            Error
+        );
+        let mut drift = wire_drift("ClientFrame", &client, include_str!("server.rs"), doc);
+        drift.extend(wire_drift(
+            "ServerFrame",
+            &server,
+            include_str!("client.rs"),
+            doc,
+        ));
+        assert!(drift.is_empty(), "wire schema drift: {drift:#?}");
+    }
+
+    #[test]
+    fn wire_drift_names_unhandled_stale_and_undocumented_frames() {
+        let doc = "<!-- wire frames: ClientFrame -->\n\n\
+                   | frame | meaning |\n|---|---|\n\
+                   | `Hello { version }` | opens |\n| `Legacy` | gone |\n\n";
+        let peer = "ClientFrame::Hello\nClientFrame::Cancel\n#[cfg(test)]\nClientFrame::Submit\n";
+        let drift = wire_drift("ClientFrame", &["Hello", "Submit", "Cancel"], peer, doc);
+        assert_eq!(
+            drift,
+            [
+                "`ClientFrame::Submit` is unhandled by its peer",
+                "`ClientFrame::Submit` is undocumented",
+                "`ClientFrame::Cancel` is undocumented",
+                "documented `ClientFrame::Legacy` is stale",
+            ]
+        );
+        assert_eq!(
+            wire_drift("ServerFrame", &["Done"], "ServerFrame::Done", doc),
+            [
+                "no frame table after `<!-- wire frames: ServerFrame -->`",
+                "`ServerFrame::Done` is undocumented"
+            ]
+        );
     }
 }

@@ -28,9 +28,6 @@
 //! assert!(jitter.abs() < 1e-4);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod clock;
 pub mod dist;
 pub mod events;

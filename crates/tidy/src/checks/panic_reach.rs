@@ -1,6 +1,6 @@
 //! Panic-reachability: public APIs that can transitively reach a panic.
 //!
-//! The lexical `panic-policy` check sees `unwrap()` on the line it is
+//! Clippy's `unwrap_used`/`panic` lints see `unwrap()` on the line it is
 //! written; this check follows the call graph, so a `pub fn` that calls a
 //! private helper that calls something that slices with a non-literal
 //! index is still on the hook. Panic **sources** are `panic!`, `todo!`,

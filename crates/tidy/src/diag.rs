@@ -9,19 +9,9 @@ pub enum CheckId {
     /// Iteration-order hazards, wall-clock reads, ambient I/O, and
     /// non-seeded RNG construction in simulation-critical crates.
     Determinism,
-    /// `unsafe` outside the (currently empty) allowlist, or an allowlisted
-    /// block missing its `// SAFETY:` comment.
-    UnsafePolicy,
-    /// Missing standard lint headers on a `lib.rs`, unjustified
-    /// `#[allow(...)]`, or a crate absent from the policy table.
-    CrateHeader,
-    /// `unwrap()` / `panic!` / `todo!` / `unimplemented!` in library code.
-    PanicPolicy,
     /// Socket types (`std::net`) in a crate whose policy row does not
     /// sanction network I/O — the service boundary lives in one crate.
     NetPolicy,
-    /// Registry or git dependencies in a `Cargo.toml`.
-    Hermeticity,
     /// A malformed, unknown, or unused `tidy:allow` suppression.
     Suppression,
     /// A public API that can transitively reach an undocumented panic
@@ -57,10 +47,9 @@ pub enum CheckId {
     /// `.ok()`-discard, or a statement-dropped `#[must_use]` value
     /// (concurrency check).
     ErrorPolicy,
-    /// Drift between the `proto.rs` wire enums, the frames the peer
-    /// actually handles, and the frame tables in `docs/SERVICE.md`
-    /// (concurrency check).
-    WireSchema,
+    /// A `crates/*` directory with no row in the policy table, or a
+    /// source file the scan cannot read.
+    CrateRegistry,
     /// A stale, duplicate, unjustified, or unparsable entry in
     /// `tidy-baseline.json`.
     Baseline,
@@ -71,11 +60,7 @@ impl CheckId {
     pub fn name(self) -> &'static str {
         match self {
             CheckId::Determinism => "determinism",
-            CheckId::UnsafePolicy => "unsafe-policy",
-            CheckId::CrateHeader => "crate-header",
-            CheckId::PanicPolicy => "panic-policy",
             CheckId::NetPolicy => "net-policy",
-            CheckId::Hermeticity => "hermeticity",
             CheckId::Suppression => "suppression",
             CheckId::PanicReach => "panic-reachability",
             CheckId::DeterminismTaint => "determinism-taint",
@@ -86,53 +71,28 @@ impl CheckId {
             CheckId::ThreadLifecycle => "thread-lifecycle",
             CheckId::QueueBounds => "queue-bounds",
             CheckId::ErrorPolicy => "error-policy",
-            CheckId::WireSchema => "wire-schema",
+            CheckId::CrateRegistry => "crate-registry",
             CheckId::Baseline => "baseline",
         }
     }
 
-    /// Resolves a suppression name back to a check. `suppression` and
-    /// `baseline` are not suppressible — meta-findings must be fixed, not
-    /// silenced.
+    /// Resolves a suppression name back to a check. The `meta` checks
+    /// (`suppression`, `crate-registry`, `baseline`) are not suppressible
+    /// — findings about the pass's own inputs must be fixed, not silenced.
     pub fn from_name(name: &str) -> Option<CheckId> {
-        match name {
-            "determinism" => Some(CheckId::Determinism),
-            "unsafe-policy" => Some(CheckId::UnsafePolicy),
-            "crate-header" => Some(CheckId::CrateHeader),
-            "panic-policy" => Some(CheckId::PanicPolicy),
-            "net-policy" => Some(CheckId::NetPolicy),
-            "hermeticity" => Some(CheckId::Hermeticity),
-            "panic-reachability" => Some(CheckId::PanicReach),
-            "determinism-taint" => Some(CheckId::DeterminismTaint),
-            "lock-order" => Some(CheckId::LockOrder),
-            "fork-coverage" => Some(CheckId::ForkCoverage),
-            "cow-aliasing" => Some(CheckId::CowAliasing),
-            "float-determinism" => Some(CheckId::FloatDeterminism),
-            "thread-lifecycle" => Some(CheckId::ThreadLifecycle),
-            "queue-bounds" => Some(CheckId::QueueBounds),
-            "error-policy" => Some(CheckId::ErrorPolicy),
-            "wire-schema" => Some(CheckId::WireSchema),
-            _ => None,
-        }
+        CHECK_REGISTRY
+            .iter()
+            .find(|info| info.layer != "meta" && info.check.name() == name)
+            .map(|info| info.check)
     }
 
     /// Whether the check is one of the workspace-model (semantic) checks
-    /// — call-graph, field-level, or concurrency — the only findings the
-    /// baseline ratchet may carry.
+    /// — call-graph, field-level, or concurrency layer in the registry —
+    /// the only findings the baseline ratchet may carry.
     pub fn is_semantic(self) -> bool {
-        matches!(
-            self,
-            CheckId::PanicReach
-                | CheckId::DeterminismTaint
-                | CheckId::LockOrder
-                | CheckId::ForkCoverage
-                | CheckId::CowAliasing
-                | CheckId::FloatDeterminism
-                | CheckId::ThreadLifecycle
-                | CheckId::QueueBounds
-                | CheckId::ErrorPolicy
-                | CheckId::WireSchema
-        )
+        CHECK_REGISTRY.iter().any(|info| {
+            info.check == self && matches!(info.layer, "call-graph" | "field-level" | "concurrency")
+        })
     }
 }
 
@@ -150,8 +110,8 @@ pub struct CheckInfo {
     pub check: CheckId,
     /// Analysis layer: `lexical` (per-line), `call-graph` (workspace
     /// function graph), `field-level` (struct/field model), `concurrency`
-    /// (thread/queue/wire lifecycle model), or `meta` (findings about the
-    /// tool's own inputs).
+    /// (thread/queue lifecycle model), or `meta` (findings about the
+    /// tool's own inputs; never suppressible).
     pub layer: &'static str,
     /// One-line contract: what a finding means.
     pub contract: &'static str,
@@ -159,9 +119,10 @@ pub struct CheckInfo {
     pub scope: &'static str,
 }
 
-/// Every registered check, in `CheckId` order. `--list-checks` renders
-/// this table; tests assert it stays in sync with [`CheckId`], the
-/// suppressible-check list, and `docs/STATIC_ANALYSIS.md`.
+/// Every registered check, in `CheckId` order — the one place the check
+/// list is written. `--list-checks` renders it, suppression names and
+/// baseline eligibility derive from its `layer` column, and tests hold it
+/// against [`CheckId`] and `docs/STATIC_ANALYSIS.md`.
 pub const CHECK_REGISTRY: &[CheckInfo] = &[
     CheckInfo {
         check: CheckId::Determinism,
@@ -170,34 +131,10 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         scope: "library sources of crates with policy determinism=true",
     },
     CheckInfo {
-        check: CheckId::UnsafePolicy,
-        layer: "lexical",
-        contract: "no `unsafe` outside the allowlist; allowlisted blocks carry // SAFETY:",
-        scope: "every Rust file in the workspace",
-    },
-    CheckInfo {
-        check: CheckId::CrateHeader,
-        layer: "lexical",
-        contract: "lib.rs lint headers present; #[allow] justified; crate has a policy row",
-        scope: "every workspace crate",
-    },
-    CheckInfo {
-        check: CheckId::PanicPolicy,
-        layer: "lexical",
-        contract: "no unwrap/panic!/todo!/unimplemented! in library code",
-        scope: "library sources of every crate",
-    },
-    CheckInfo {
         check: CheckId::NetPolicy,
         layer: "lexical",
         contract: "socket types only in crates with policy net=true",
         scope: "library sources of crates with policy net=false",
-    },
-    CheckInfo {
-        check: CheckId::Hermeticity,
-        layer: "lexical",
-        contract: "no registry or git dependencies in any Cargo.toml",
-        scope: "every manifest in the workspace",
     },
     CheckInfo {
         check: CheckId::Suppression,
@@ -260,10 +197,10 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         scope: "library sources of crates with policy concurrency=true",
     },
     CheckInfo {
-        check: CheckId::WireSchema,
-        layer: "concurrency",
-        contract: "proto.rs wire enums, peer match arms, and docs/SERVICE.md frame tables agree",
-        scope: "the service crate's proto.rs/server.rs/client.rs plus docs/SERVICE.md",
+        check: CheckId::CrateRegistry,
+        layer: "meta",
+        contract: "every crates/* directory has a policy row; every scanned source file is readable",
+        scope: "crates/* directories and the files of registered crates",
     },
     CheckInfo {
         check: CheckId::Baseline,
@@ -272,6 +209,17 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         scope: "tidy-baseline.json at the workspace root",
     },
 ];
+
+/// The check names a `tidy:allow(...)` may legally name, comma-separated
+/// in registry order — for the unknown-check diagnostic.
+pub fn suppressible_checks() -> String {
+    CHECK_REGISTRY
+        .iter()
+        .filter(|info| info.layer != "meta")
+        .map(|info| info.check.name())
+        .collect::<Vec<_>>()
+        .join(", ")
+}
 
 /// One finding, anchored to a workspace-relative file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -337,11 +285,7 @@ mod tests {
     fn names_round_trip() {
         for check in [
             CheckId::Determinism,
-            CheckId::UnsafePolicy,
-            CheckId::CrateHeader,
-            CheckId::PanicPolicy,
             CheckId::NetPolicy,
-            CheckId::Hermeticity,
             CheckId::PanicReach,
             CheckId::DeterminismTaint,
             CheckId::LockOrder,
@@ -351,12 +295,13 @@ mod tests {
             CheckId::ThreadLifecycle,
             CheckId::QueueBounds,
             CheckId::ErrorPolicy,
-            CheckId::WireSchema,
         ] {
             assert_eq!(CheckId::from_name(check.name()), Some(check));
         }
         assert_eq!(CheckId::from_name("suppression"), None);
+        assert_eq!(CheckId::from_name("crate-registry"), None);
         assert_eq!(CheckId::from_name("baseline"), None);
+        assert_eq!(CheckId::from_name("panic-policy"), None, "retired");
         assert_eq!(CheckId::from_name("bogus"), None);
     }
 
@@ -371,8 +316,9 @@ mod tests {
         assert!(CheckId::ThreadLifecycle.is_semantic());
         assert!(CheckId::QueueBounds.is_semantic());
         assert!(CheckId::ErrorPolicy.is_semantic());
-        assert!(CheckId::WireSchema.is_semantic());
         assert!(!CheckId::Determinism.is_semantic());
+        assert!(!CheckId::NetPolicy.is_semantic());
+        assert!(!CheckId::CrateRegistry.is_semantic());
         assert!(!CheckId::Baseline.is_semantic());
     }
 
@@ -384,11 +330,14 @@ mod tests {
         for pair in CHECK_REGISTRY.windows(2) {
             assert!(pair[0].check < pair[1].check, "registry out of order");
         }
-        assert_eq!(CHECK_REGISTRY.len(), 18, "new CheckId? register it here");
+        assert_eq!(CHECK_REGISTRY.len(), 14, "new CheckId? register it here");
         for info in CHECK_REGISTRY {
             assert_eq!(
                 CheckId::from_name(info.check.name()).is_some(),
-                info.check != CheckId::Suppression && info.check != CheckId::Baseline,
+                !matches!(
+                    info.check,
+                    CheckId::Suppression | CheckId::CrateRegistry | CheckId::Baseline
+                ),
                 "suppressibility drifted for {}",
                 info.check
             );
@@ -397,16 +346,6 @@ mod tests {
                 info.layer,
                 "lexical" | "call-graph" | "field-level" | "concurrency" | "meta"
             ));
-        }
-        // Semantic checks are exactly the call-graph, field-level, and
-        // concurrency layers.
-        for info in CHECK_REGISTRY {
-            assert_eq!(
-                info.check.is_semantic(),
-                matches!(info.layer, "call-graph" | "field-level" | "concurrency"),
-                "layer/semantic drift for {}",
-                info.check
-            );
         }
     }
 }

@@ -22,22 +22,25 @@
 //! reduction outside the fixed-point lanes is a finding. The
 //! **concurrency** checks model the service runtime's thread lifecycle —
 //! spawn sites and the fate of each `JoinHandle`, queue constructions
-//! with bounded/unbounded classification, swallowed `Result`s, and the
-//! wire-protocol enums against the peers and docs that must track them —
-//! so a detached worker, an unbounded daemon queue, or a frame the
-//! server no longer handles is a finding.
+//! with bounded/unbounded classification, and swallowed `Result`s — so a
+//! detached worker, an unbounded daemon queue, or a dropped I/O error is
+//! a finding.
+//!
+//! Rules the toolchain already enforces are left to it: `unsafe_code`,
+//! `missing_docs`, and the panic lints (`clippy::unwrap_used`, `panic`,
+//! `todo`, `unimplemented`) are `[workspace.lints]` in the root
+//! `Cargo.toml`, `#[allow]` justifications are
+//! `clippy::allow_attributes_without_reason`, in-tree dependencies are
+//! asserted by the root `tests/manifests.rs`, and the wire schema is
+//! pinned by an exhaustive-match test in `eaao-serve`'s `proto.rs`.
 //!
 //! # Checks
 //!
 //! | check | layer | what it forbids |
 //! |---|---|---|
 //! | `determinism` | lexical | `HashMap`/`HashSet`, `SystemTime`/`Instant`, `std::env`, `std::fs`/`std::net`/`std::process`, and non-seeded RNG construction in simulation-critical crates |
-//! | `unsafe-policy` | lexical | `unsafe` outside the allowlist (currently empty); allowlisted blocks must carry `// SAFETY:` |
-//! | `crate-header` | lexical | a `lib.rs` missing the standard lint set, or an `#[allow(...)]` without a justification comment |
-//! | `panic-policy` | lexical | `unwrap()` / `panic!` / `todo!` / `unimplemented!` in library code (`expect("invariant")` is the sanctioned form) |
 //! | `net-policy` | lexical | `std::net` imports and socket types in any crate whose policy row lacks the `net` allowance (only `eaao-serve` has it) |
-//! | `hermeticity` | lexical | registry or git dependencies in any `Cargo.toml` (workspace/`vendor/` path deps only) |
-//! | `suppression` | lexical | malformed, unknown, or unused `tidy:allow` suppressions |
+//! | `suppression` | meta | malformed, unknown, or unused `tidy:allow` suppressions |
 //! | `panic-reachability` | semantic | a public API that transitively reaches an undocumented panic source |
 //! | `determinism-taint` | semantic | a simulation-critical function calling a host-crate function that transitively reaches a nondeterminism source |
 //! | `lock-order` | semantic | cycles in the `Mutex` acquisition-order graph; locks held across calls into lock-taking functions |
@@ -47,7 +50,7 @@
 //! | `thread-lifecycle` | concurrency | discarded or leaked `JoinHandle`s, and spawned workers that can die to an uncaught panic, in `concurrency` crates |
 //! | `queue-bounds` | concurrency | queue constructions that neither fix a capacity nor name their bound in a `// bound: …` comment |
 //! | `error-policy` | concurrency | `let _ =` / statement-`.ok()` discards and dropped `#[must_use]` results in service-crate library code |
-//! | `wire-schema` | concurrency | protocol-enum variants unhandled by the peer or out of sync with the `docs/SERVICE.md` frame tables |
+//! | `crate-registry` | meta | a `crates/*` directory with no row in the policy table, or an unreadable source file |
 //! | `baseline` | meta | stale, duplicate, unjustified, or malformed `tidy-baseline.json` entries |
 //!
 //! The per-crate policy table lives in [`policy`]; which checks apply where
@@ -86,9 +89,6 @@
 //! Diagnostics are `file:line: [check-name] message`, sorted by path, and
 //! byte-identical across runs on the same tree. The same driver backs the
 //! root CLI's `eaao tidy` subcommand.
-
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 pub mod baseline;
 pub mod checks;

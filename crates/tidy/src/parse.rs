@@ -1720,6 +1720,13 @@ fn docs_have_panics(lines: &[Line], idx: usize) -> bool {
         {
             continue; // attribute
         }
+        if code.ends_with(")]") {
+            // The last line of a multi-line attribute: resume above its `#[`.
+            while i > 0 && !lines[i].code.trim_start().starts_with('#') {
+                i -= 1;
+            }
+            continue;
+        }
         if code.is_empty() && !line.comment.trim().is_empty() {
             continue; // plain comment (e.g. a tidy:allow line)
         }
@@ -1728,8 +1735,8 @@ fn docs_have_panics(lines: &[Line], idx: usize) -> bool {
     false
 }
 
-/// `unwrap` immediately followed by `()` — same rule as the lexical
-/// panic check.
+/// `unwrap` immediately followed by `()` — the same calls
+/// `clippy::unwrap_used` flags (`unwrap_or*` and `unwrap_err` are not).
 fn has_bare_unwrap(code: &str) -> bool {
     let mut rest = code;
     while let Some(at) = crate::checks::find_token(rest, "unwrap") {
@@ -1847,6 +1854,8 @@ mod tests {
     fn attributes_between_docs_and_fn_are_transparent() {
         let m = parse("/// # Panics\n/// Yes.\n#[inline]\npub fn a() {}\n");
         assert!(m.fns[0].has_panics_doc);
+        let m = parse("/// # Panics\n/// Yes.\n#[expect(\n    clippy::panic,\n    reason = \"x\"\n)]\npub fn a() {}\n");
+        assert!(m.fns[0].has_panics_doc, "multi-line attribute");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! a crate forces an explicit decision about which rules it lives under.
 
 /// Where a source file sits in a crate's layout. Library sources carry the
-/// full policy; test/example/bench targets are exempt from the determinism
-/// and panic checks (they are allowed to assert, collect into `HashMap`s,
-/// and measure wall-clock time) but never from the unsafe policy.
+/// full policy; test/example/bench targets are exempt from the lexical
+/// checks (they are allowed to collect into `HashMap`s and measure
+/// wall-clock time) and stay out of the call graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// `src/**` — library (or binary) code shipped by the crate.
@@ -203,11 +203,6 @@ pub const POLICIES: &[CratePolicy] = &[
         concurrency: true,
     },
 ];
-
-/// Files (workspace-relative, forward slashes) allowed to contain
-/// `unsafe`. Currently empty: the workspace is 100% safe Rust, and any
-/// future entry must pair with a `// SAFETY:` comment at each block.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
 /// Looks up the policy row for a crate directory.
 pub fn policy_for_dir(dir: &str) -> Option<&'static CratePolicy> {

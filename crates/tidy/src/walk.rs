@@ -2,11 +2,11 @@
 //!
 //! The walk is driven by the policy table, not by globbing: each
 //! registered crate contributes its `src/`, `tests/`, `examples/`, and
-//! `benches/` trees (with [`FileKind`] deciding which checks apply), and
-//! every manifest — root, per-crate, and the vendor stand-ins — goes
-//! through the hermeticity check. `vendor/` sources are third-party
-//! stand-ins and are not style-checked; `tests/fixtures/` subtrees are the
-//! analyzer's own known-bad corpus and are skipped by contract.
+//! `benches/` trees (with [`FileKind`] deciding which checks apply), and a
+//! `crates/*` directory without a policy row is a `crate-registry`
+//! finding. `vendor/` sources are third-party stand-ins and are not
+//! scanned; `tests/fixtures/` subtrees are known-bad corpora and are
+//! skipped by contract.
 //!
 //! The scan runs in phases over files that are each read and lexed
 //! **once**:
@@ -17,7 +17,7 @@
 //!    determinism-taint, lock-order) run — consulting and consuming
 //!    inline suppressions through a [`SuppressionOracle`] — alongside
 //!    the field-level checks and the concurrency-lifecycle checks
-//!    (thread-lifecycle, queue-bounds, error-policy, wire-schema),
+//!    (thread-lifecycle, queue-bounds, error-policy),
 //! 3. suppressions are applied and accounted centrally, and
 //! 4. surviving *semantic* findings pass through the baseline ratchet
 //!    (`tidy-baseline.json`).
@@ -129,8 +129,8 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
 
     // Phase 2b: the field-level model and checks (fork-coverage,
     // cow-aliasing, float-determinism) plus the concurrency-lifecycle
-    // checks (thread-lifecycle, queue-bounds, error-policy, wire-schema)
-    // over the same parsed models. Raw pairs are collected while `files`
+    // checks (thread-lifecycle, queue-bounds, error-policy) over the same
+    // parsed models. Raw pairs are collected while `files`
     // is still borrowed immutably; the suppression oracle (which needs
     // `&mut files`) filters them below.
     let mut field_raw: Vec<(usize, Diagnostic)> = Vec::new();
@@ -156,8 +156,6 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
         checks::threads::check(&ws, &mut field_raw);
         checks::queues::check(&ws, &mut field_raw);
         checks::error_policy::check(&ws, &field_inputs, &mut field_raw);
-        let service_doc = fs::read_to_string(root.join("docs/SERVICE.md")).ok();
-        checks::wire::check(&field_inputs, service_doc.as_deref(), &mut field_raw);
     }
     lap("field+concurrency", &mut timings);
 
@@ -193,7 +191,6 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
     findings.extend(surviving);
     findings.extend(meta);
 
-    check_manifests(root, &mut findings);
     check_registration(root, &mut findings);
     sort_diags(&mut findings);
     findings.dedup();
@@ -280,7 +277,7 @@ fn collect_crate(
                 Err(err) => findings.push(Diagnostic::new(
                     &rel,
                     1,
-                    CheckId::CrateHeader,
+                    CheckId::CrateRegistry,
                     format!("cannot read source file: {err}"),
                 )),
             }
@@ -307,39 +304,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn check_manifests(root: &Path, diags: &mut Vec<Diagnostic>) {
-    // A policy row whose crate directory is absent contributes nothing:
-    // fixture mini-workspaces legitimately materialize only a couple of
-    // the registered crates. (A *present* crate with an unreadable
-    // manifest is still a finding.)
-    let mut manifests: Vec<PathBuf> = POLICIES
-        .iter()
-        .filter(|p| p.dir.is_empty() || root.join(p.dir).is_dir())
-        .map(|p| root.join(p.dir).join("Cargo.toml"))
-        .collect();
-    if let Ok(entries) = fs::read_dir(root.join("vendor")) {
-        let mut vendor: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path().join("Cargo.toml"))
-            .filter(|p| p.is_file())
-            .collect();
-        vendor.sort();
-        manifests.extend(vendor);
-    }
-    for path in manifests {
-        let rel = rel_path(root, &path);
-        match fs::read_to_string(&path) {
-            Ok(text) => checks::hermeticity::check(&rel, &text, diags),
-            Err(err) => diags.push(Diagnostic::new(
-                &rel,
-                1,
-                CheckId::Hermeticity,
-                format!("cannot read manifest: {err}"),
-            )),
-        }
-    }
-}
-
 /// Every directory under `crates/` must have a row in the policy table —
 /// adding a crate forces an explicit decision about its rules.
 fn check_registration(root: &Path, diags: &mut Vec<Diagnostic>) {
@@ -357,7 +321,7 @@ fn check_registration(root: &Path, diags: &mut Vec<Diagnostic>) {
             diags.push(Diagnostic::new(
                 &format!("crates/{name}/Cargo.toml"),
                 1,
-                CheckId::CrateHeader,
+                CheckId::CrateRegistry,
                 format!(
                     "crate `{name}` is not registered in eaao-tidy's policy \
                      table (crates/tidy/src/policy.rs); every workspace crate \

@@ -2,7 +2,7 @@
 //! `tests/fixtures/semantic/` that each pin the concurrency-lifecycle
 //! checks to an exact file, line, and symbol — plus companion proofs
 //! that the lexical pass alone misses every one of them, which is the
-//! reason the spawn/queue/wire models exist.
+//! reason the spawn/queue models exist.
 
 use std::path::{Path, PathBuf};
 
@@ -146,64 +146,4 @@ fn queue_bounds_and_error_policy_are_pinned_and_lexically_invisible() {
     // to the per-line checks — only the queue/statement models see them.
     let lexical = lexical_only(&root, "crates/serve", "crates/serve/src/lib.rs");
     assert!(lexical.is_empty(), "{lexical:?}");
-}
-
-#[test]
-fn wire_schema_drift_is_pinned_and_lexically_invisible() {
-    let root = fixture_root("wire_drift");
-    let findings = scan_workspace(&root).findings;
-    assert_eq!(findings.len(), 3, "{findings:?}");
-
-    // A client frame the server never learned to handle.
-    let unhandled = &findings[0];
-    assert_eq!(unhandled.file, "crates/serve/src/proto.rs");
-    assert_eq!(unhandled.line, 10, "anchored at the variant");
-    assert_eq!(unhandled.check.name(), "wire-schema");
-    assert_eq!(unhandled.symbol, "ClientFrame::Cancel");
-    assert!(
-        unhandled
-            .message
-            .contains("never named in crates/serve/src/server.rs"),
-        "{}",
-        unhandled.message
-    );
-
-    // A documented frame that no longer exists, anchored at the enum.
-    let stale = &findings[1];
-    assert_eq!(stale.file, "crates/serve/src/proto.rs");
-    assert_eq!(stale.line, 14, "anchored at the enum definition");
-    assert_eq!(stale.check.name(), "wire-schema");
-    assert_eq!(stale.symbol, "ServerFrame::Legacy");
-    assert!(
-        stale.message.contains("no longer exists"),
-        "{}",
-        stale.message
-    );
-
-    // A live frame the docs never learned, anchored at the variant.
-    let undocumented = &findings[2];
-    assert_eq!(undocumented.file, "crates/serve/src/proto.rs");
-    assert_eq!(undocumented.line, 20, "anchored at the variant");
-    assert_eq!(undocumented.check.name(), "wire-schema");
-    assert_eq!(undocumented.symbol, "ServerFrame::Progress");
-    assert!(
-        undocumented.message.contains("missing from"),
-        "{}",
-        undocumented.message
-    );
-
-    // Negative halves: every `ServerFrame` variant is named in
-    // client.rs, and the `ClientFrame` table is complete — no peer or
-    // doc finding fires for either.
-
-    // Companion proof: the drift spans three files and a markdown table;
-    // each file alone is lexically spotless.
-    for rel in [
-        "crates/serve/src/proto.rs",
-        "crates/serve/src/server.rs",
-        "crates/serve/src/client.rs",
-    ] {
-        let lexical = lexical_only(&root, "crates/serve", rel);
-        assert!(lexical.is_empty(), "{rel}: {lexical:?}");
-    }
 }

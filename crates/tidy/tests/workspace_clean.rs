@@ -186,16 +186,6 @@ fn the_concurrency_sanctioned_sites_are_live() {
         "the server's blocking queues need no lock-order suppressions under the \
          Condvar-aware model"
     );
-
-    // The wire contract: both frame tables in docs/SERVICE.md are bound
-    // to their enums by the conformance markers the wire-schema check
-    // keys on.
-    let service_doc = read("docs/SERVICE.md");
-    assert!(
-        service_doc.contains("<!-- tidy:wire-schema frames: ClientFrame -->")
-            && service_doc.contains("<!-- tidy:wire-schema frames: ServerFrame -->"),
-        "docs/SERVICE.md must carry both wire-schema conformance markers"
-    );
 }
 
 /// `--list-checks` and the docs describe the same pass: every registered

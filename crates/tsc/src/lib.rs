@@ -36,9 +36,6 @@
 //! assert_eq!(boot, SimTime::from_secs(500)); // correct at this time scale
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod boot;
 pub mod clocksource;
 pub mod counter;

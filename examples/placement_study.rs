@@ -22,8 +22,14 @@ fn main() {
     for &id in launch.instances() {
         *per_host.entry(world.host_of(id)).or_insert(0usize) += 1;
     }
-    let min = per_host.values().min().unwrap();
-    let max = per_host.values().max().unwrap();
+    let min = per_host
+        .values()
+        .min()
+        .expect("800 instances occupy some host");
+    let max = per_host
+        .values()
+        .max()
+        .expect("800 instances occupy some host");
     println!(
         "800 instances -> {} hosts, {}..{} instances per host (Observation 1)",
         per_host.len(),

@@ -16,6 +16,10 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+#[expect(
+    clippy::panic,
+    reason = "test helper: a malformed trace line fails the suite with its line number"
+)]
 fn traced_campaign(name: &str) -> (Vec<Event>, PathBuf) {
     let dir = scratch(name);
     let trace_path = dir.join("trace.jsonl");
