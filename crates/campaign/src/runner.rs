@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use eaao_cloudsim::ids::{HostId, InstanceId};
 use eaao_cloudsim::mitigation::TscMitigation;
 use eaao_cloudsim::service::Generation;
 use eaao_core::coverage::measure_coverage;
@@ -516,15 +517,21 @@ fn attack_trial(
     let coverage = measure_coverage(&arena.world, &report.live_instances, &arena.victims);
     // Confirm one ground-truth co-located attacker–victim pair over the
     // run's verification channel: the fingerprint pipeline only *suspects*
-    // co-location, the covert channel proves it (§4.3).
+    // co-location, the covert channel proves it (§4.3). The pair is the
+    // first live attacker with a victim on its host, with that host's
+    // first victim.
+    let mut first_victim: BTreeMap<HostId, InstanceId> = BTreeMap::new();
+    for &victim in &arena.victims {
+        first_victim
+            .entry(arena.world.host_of(victim))
+            .or_insert(victim);
+    }
     let verified_at_least_one = report
         .live_instances
         .iter()
         .find_map(|&attacker| {
-            arena
-                .victims
-                .iter()
-                .find(|&&victim| arena.world.host_of(attacker) == arena.world.host_of(victim))
+            first_victim
+                .get(&arena.world.host_of(attacker))
                 .map(|&victim| [attacker, victim])
         })
         .map(|pair| {

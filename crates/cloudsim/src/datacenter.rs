@@ -49,7 +49,7 @@ use eaao_simcore::time::SimTime;
 use eaao_simcore::wsample::{fenwick_tree, fixed_weight};
 use rand::RngCore;
 
-use crate::cpu::{default_catalog, CpuModel, CpuModelId};
+use crate::cpu::{default_catalog, CpuModel, CpuModelId, CpuidInfo};
 use crate::host::{Host, HostGenConfig};
 use crate::ids::{HostId, InstanceId};
 
@@ -66,6 +66,9 @@ struct Genesis {
     popularity_exponent: f64,
     /// Catalog entries with their sampling weights.
     catalog_weighted: Vec<(CpuModel, f64)>,
+    /// The bare-hardware `cpuid` surface of each catalog model, built once
+    /// and shared by every Gen 1 sandbox on a host of that model.
+    cpuid: Vec<Arc<CpuidInfo>>,
     /// Popularity rank of host `i` (a shuffled permutation of `0..n`).
     ranks: Vec<u32>,
     /// Base of the per-host keyed RNG streams.
@@ -171,6 +174,7 @@ impl DataCenter {
         generate_span.u64_field("hosts", host_count as u64);
         let catalog_weighted = default_catalog();
         let catalog: Vec<CpuModel> = catalog_weighted.iter().map(|(m, _)| m.clone()).collect();
+        let cpuid = catalog.iter().map(|m| Arc::new(m.cpuid_info())).collect();
 
         // Popularity ranks: shuffle so rank is independent of host id.
         let mut ranks: Vec<u32> = (0..host_count as u32).collect();
@@ -186,6 +190,7 @@ impl DataCenter {
                 config: *host_config,
                 popularity_exponent,
                 catalog_weighted,
+                cpuid,
                 ranks,
                 stream_base,
             }),
@@ -313,9 +318,14 @@ impl DataCenter {
         &self.catalog[id.index()]
     }
 
-    /// The CPU model record of a host.
-    pub fn model_of(&self, host: HostId) -> &CpuModel {
-        self.cpu_model(self.host(host).cpu_model())
+    /// The bare-hardware `cpuid` surface of `host`'s CPU model, shared
+    /// with every other host of that model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host's model is not in this data center's catalog.
+    pub fn cpuid_of(&self, host: &Host) -> Arc<CpuidInfo> {
+        Arc::clone(&self.genesis.cpuid[host.cpu_model().index()])
     }
 
     /// Reboots a host for maintenance; returns the displaced instances
@@ -592,8 +602,9 @@ mod tests {
         );
         // Model metadata resolves.
         let h0 = HostId::from_raw(0);
-        let model = dc.model_of(h0);
+        let model = dc.cpu_model(dc.host(h0).cpu_model());
         assert!(model.name().contains("GHz"));
+        assert_eq!(*dc.cpuid_of(dc.host(h0)), model.cpuid_info());
         // Host frequency is anchored near its model's nominal.
         let diff =
             (dc.host(h0).actual_frequency().as_hz() - model.nominal_frequency().as_hz()).abs();

@@ -13,8 +13,6 @@
 //! * a popularity weight (how strongly the orchestrator's scoring favors
 //!   this host; see `eaao-orchestrator`).
 
-use std::collections::BTreeSet;
-
 use eaao_simcore::dist::{Exponential, LogNormal, Normal, Sample};
 use eaao_simcore::rng::SimRng;
 use eaao_simcore::time::{SimDuration, SimTime};
@@ -112,7 +110,8 @@ pub struct Host {
     epsilon_hz: f64,
     refine_rng: SimRng,
     refine_error_std_hz: f64,
-    residents: BTreeSet<InstanceId>,
+    /// Resident instances, ascending id.
+    residents: Vec<InstanceId>,
 }
 
 impl Host {
@@ -153,7 +152,7 @@ impl Host {
             epsilon_hz,
             refine_rng,
             refine_error_std_hz: config.refine_error_std_hz,
-            residents: BTreeSet::new(),
+            residents: Vec::new(),
         }
     }
 
@@ -281,7 +280,7 @@ impl Host {
 
     /// Whether `instance` runs on this host.
     pub fn hosts_instance(&self, instance: InstanceId) -> bool {
-        self.residents.contains(&instance)
+        self.residents.binary_search(&instance).is_ok()
     }
 
     /// Places an instance on this host.
@@ -292,8 +291,13 @@ impl Host {
     /// both indicate an orchestrator bug.
     pub fn admit(&mut self, instance: InstanceId) {
         assert!(self.free_slots() > 0, "host {} is full", self.id);
-        let inserted = self.residents.insert(instance);
-        assert!(inserted, "instance {instance} already on host {}", self.id);
+        let at = self.residents.partition_point(|&r| r < instance);
+        assert!(
+            self.residents.get(at) != Some(&instance),
+            "instance {instance} already on host {}",
+            self.id
+        );
+        self.residents.insert(at, instance);
     }
 
     /// Removes an instance from this host.
@@ -302,20 +306,26 @@ impl Host {
     ///
     /// Panics if the instance is not resident.
     pub fn evict(&mut self, instance: InstanceId) {
-        let removed = self.residents.remove(&instance);
-        assert!(removed, "instance {instance} not on host {}", self.id);
+        let at = self.residents.partition_point(|&r| r < instance);
+        assert!(
+            self.residents.get(at) == Some(&instance),
+            "instance {instance} not on host {}",
+            self.id
+        );
+        self.residents.remove(at);
     }
 
     /// Reboots the host at `now` for maintenance: the TSC zero point moves,
     /// the kernel re-runs frequency refinement (new measurement error), and
     /// every resident instance is displaced.
     ///
-    /// Returns the displaced instances; the caller must terminate them.
+    /// Returns the displaced instances in ascending id order; the caller
+    /// must terminate them.
     pub fn reboot(&mut self, now: SimTime) -> Vec<InstanceId> {
         self.tsc = self.tsc.rebooted_at(now);
         let refine_err = Normal::new(0.0, self.refine_error_std_hz).sample(&mut self.refine_rng);
         self.refined = RefinedTscFrequency::refine(self.tsc.actual_frequency(), refine_err);
-        std::mem::take(&mut self.residents).into_iter().collect()
+        std::mem::take(&mut self.residents)
     }
 }
 

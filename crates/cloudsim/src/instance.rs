@@ -278,7 +278,8 @@ mod tests {
                 l3_kib: 39 * 1_024,
             },
         );
-        let sandbox = Sandbox::Gen1(Gen1Sandbox::for_instance(&host, &model, now, &mut rng));
+        let cpuid = std::sync::Arc::new(model.cpuid_info());
+        let sandbox = Sandbox::Gen1(Gen1Sandbox::for_instance(&host, cpuid, now, &mut rng));
         ContainerInstance::new(
             InstanceId::from_raw(1),
             ServiceId::from_raw(2),
@@ -384,6 +385,18 @@ mod tests {
         let mut i = test_instance(SimTime::ZERO);
         i.terminate(SimTime::from_secs(1));
         let _ = i.sandbox_mut();
+    }
+
+    #[test]
+    fn instance_record_stays_compact() {
+        // The instance arena holds one record per instance ever created;
+        // Gen 1 sandboxes share their model's cpuid surface instead of
+        // carrying a copy of it.
+        assert!(
+            std::mem::size_of::<ContainerInstance>() <= 280,
+            "ContainerInstance grew to {} B",
+            std::mem::size_of::<ContainerInstance>()
+        );
     }
 
     #[test]

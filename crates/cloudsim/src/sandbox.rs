@@ -15,6 +15,8 @@
 //!   host TSC frequency to the guest kernel (`tsc_khz`), where a root guest
 //!   user can read it (Section 4.5).
 
+use std::sync::Arc;
+
 use eaao_simcore::rng::SimRng;
 use eaao_simcore::time::{SimDuration, SimTime};
 use eaao_tsc::boot::TscSample;
@@ -78,9 +80,12 @@ pub trait GuestEnv {
 }
 
 /// The gVisor-based Gen 1 environment.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Gen1Sandbox {
-    cpuid: CpuidInfo,
+    /// The host model's `cpuid` surface, shared by every Gen 1 sandbox on
+    /// a host of that model (see
+    /// [`DataCenter::cpuid_of`](crate::datacenter::DataCenter::cpuid_of)).
+    cpuid: Arc<CpuidInfo>,
     tsc: InvariantTsc,
     /// The counter served when `rdtsc` is trapped: zero at sandbox start,
     /// ticking at the nominal model frequency.
@@ -90,31 +95,48 @@ pub struct Gen1Sandbox {
     started_at: SimTime,
 }
 
+// Written by hand so the share-vs-detach decision per field is explicit
+// (the fork-coverage contract): the `cpuid` surface is immutable hardware
+// description, so clones share it; everything else is copied by value.
+impl Clone for Gen1Sandbox {
+    fn clone(&self) -> Self {
+        Gen1Sandbox {
+            cpuid: Arc::clone(&self.cpuid),
+            tsc: self.tsc,
+            emulated_tsc: self.emulated_tsc,
+            mitigation: self.mitigation,
+            clock: self.clock.clone(),
+            started_at: self.started_at,
+        }
+    }
+}
+
 impl Gen1Sandbox {
     /// Builds the sandbox for an instance starting on `host` at `now`.
     ///
-    /// `model` must be the host's CPU model record (from the owning
-    /// catalog); `rng` seeds the instance's private noise stream.
+    /// `cpuid` must be the bare-hardware `cpuid` surface of the host's CPU
+    /// model (from the owning catalog); `rng` seeds the instance's private
+    /// noise stream.
     pub fn for_instance(
         host: &Host,
-        model: &crate::cpu::CpuModel,
+        cpuid: Arc<CpuidInfo>,
         now: SimTime,
         rng: &mut SimRng,
     ) -> Self {
-        Gen1Sandbox::with_mitigation(host, model, TscMitigation::None, now, rng)
+        Gen1Sandbox::with_mitigation(host, cpuid, TscMitigation::None, now, rng)
     }
 
     /// Builds the sandbox under a platform TSC mitigation (Section 6).
     pub fn with_mitigation(
         host: &Host,
-        model: &crate::cpu::CpuModel,
+        cpuid: Arc<CpuidInfo>,
         mitigation: TscMitigation,
         now: SimTime,
         rng: &mut SimRng,
     ) -> Self {
         Gen1Sandbox {
             // Not virtualized: the guest sees the hardware's cpuid surface.
-            cpuid: model.cpuid_info(),
+            cpuid,
             tsc: host.tsc(),
             emulated_tsc: InvariantTsc::new(now, host.nominal_frequency()),
             mitigation,
@@ -131,7 +153,7 @@ impl GuestEnv for Gen1Sandbox {
     }
 
     fn cpuid_info(&self) -> CpuidInfo {
-        self.cpuid.clone()
+        CpuidInfo::clone(&self.cpuid)
     }
 
     fn rdtsc(&mut self, now: SimTime) -> u64 {
@@ -340,8 +362,8 @@ mod tests {
 
     const MODEL: &str = "Intel(R) Xeon(R) CPU @ 2.00GHz";
 
-    fn test_model() -> crate::cpu::CpuModel {
-        crate::cpu::CpuModel::new(
+    fn test_cpuid() -> Arc<CpuidInfo> {
+        let model = crate::cpu::CpuModel::new(
             MODEL,
             TscFrequency::from_ghz(2.0),
             crate::cpu::CacheGeometry {
@@ -349,7 +371,8 @@ mod tests {
                 l2_kib: 1_024,
                 l3_kib: 39 * 1_024,
             },
-        )
+        );
+        Arc::new(model.cpuid_info())
     }
 
     #[test]
@@ -357,7 +380,7 @@ mod tests {
         let host = test_host(1);
         let mut rng = SimRng::seed_from(100);
         let now = SimTime::from_secs(10);
-        let mut sandbox = Gen1Sandbox::for_instance(&host, &test_model(), now, &mut rng);
+        let mut sandbox = Gen1Sandbox::for_instance(&host, test_cpuid(), now, &mut rng);
         assert_eq!(sandbox.cpuid_model(), MODEL);
         assert_eq!(sandbox.rdtsc(now), host.tsc().read(now));
         assert!(sandbox.tsc_khz().is_none());
@@ -368,7 +391,7 @@ mod tests {
         let host = test_host(2);
         let mut rng = SimRng::seed_from(101);
         let start = SimTime::from_secs(100);
-        let sandbox = Gen1Sandbox::for_instance(&host, &test_model(), start, &mut rng);
+        let sandbox = Gen1Sandbox::for_instance(&host, test_cpuid(), start, &mut rng);
         let up = sandbox.proc_uptime(SimTime::from_secs(160));
         // Sandbox uptime is 60 s even though the host has been up for days.
         assert_eq!(up, SimDuration::from_secs(60));
@@ -380,7 +403,7 @@ mod tests {
         let host = test_host(3);
         let mut rng = SimRng::seed_from(102);
         let now = SimTime::from_secs(30);
-        let mut sandbox = Gen1Sandbox::for_instance(&host, &test_model(), now, &mut rng);
+        let mut sandbox = Gen1Sandbox::for_instance(&host, test_cpuid(), now, &mut rng);
         let sample = sandbox.sample(now);
         let derived = sample.derive_boot_time(host.actual_frequency());
         // With the true frequency, derivation recovers the host boot to
@@ -421,7 +444,7 @@ mod tests {
         let host = test_host(7);
         let mut rng = SimRng::seed_from(106);
         let now = SimTime::from_secs(10);
-        let g1 = Gen1Sandbox::for_instance(&host, &test_model(), now, &mut rng);
+        let g1 = Gen1Sandbox::for_instance(&host, test_cpuid(), now, &mut rng);
         let info = g1.cpuid_info();
         assert_eq!(info.model_name, MODEL);
         assert!(info.cache.is_some(), "Gen 1 leaks the cache hierarchy");
@@ -442,7 +465,7 @@ mod tests {
         let now = SimTime::from_secs(10);
         let mut g1 = Sandbox::Gen1(Gen1Sandbox::for_instance(
             &host,
-            &test_model(),
+            test_cpuid(),
             now,
             &mut rng,
         ));

@@ -21,8 +21,6 @@
 //! identical trajectories — any divergence is a bug in one backend's
 //! bookkeeping, which is exactly what the oracle suite hunts for.
 
-// tidy:allow(determinism) -- only `IncrementalCapacity::plan_taken`, a keyed-only overlay (see below)
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -166,13 +164,14 @@ pub trait CapacityIndex: fmt::Debug {
 ///
 /// Committed state (free slots per host/cell/total and a
 /// popularity-masked-by-availability Fenwick sampler) is updated in O(1)
-/// / O(log n) on each residency change. Planning sessions overlay
-/// tentative consumption with a small per-plan ledger touching only the
-/// hosts the plan uses, so a launch never scans the pool.
+/// / O(log n) on each residency change. Planning sessions consume slots
+/// in place and keep an undo log of the hosts they touched, so a launch
+/// never scans the pool and ending the session undoes only what it took.
 #[derive(Debug)]
 pub struct IncrementalCapacity {
-    /// Committed free slots per host. Copy-on-write: branches share the
-    /// lane until the first residency change after a clone.
+    /// Free slots per host: committed, net of the open planning session's
+    /// takes (none between sessions). Copy-on-write: branches share the
+    /// lane until the first write after a clone.
     free: Arc<Vec<u32>>,
     /// Committed free slots, summed.
     total_free: u64,
@@ -184,26 +183,23 @@ pub struct IncrementalCapacity {
     /// Fixed-point popularity of each host (constant after construction;
     /// the data center's shared genesis lane, so branches alias it).
     pop_fixed: Arc<Vec<u64>>,
-    /// Sampler with weight `pop_fixed[h]` iff the *overlayed* free count
-    /// of `h` is positive (committed free outside a planning session).
+    /// Sampler with weight `pop_fixed[h]` iff `free[h]` is positive.
     avail: FenwickSampler,
-    /// Overlay: slots tentatively consumed per host this planning session.
-    /// Never iterated — probed by host index and drained via
-    /// `plan_suppressed`/`clear`, so its order cannot reach the trajectory.
-    // tidy:allow(determinism) -- keyed lookups only; iteration order provably unobservable
-    plan_taken: HashMap<usize, u32>,
-    /// Hosts whose `avail` weight was zeroed by the overlay only.
+    /// Undo log: one entry per slot taken this planning session, naming
+    /// its host; `end_plan` gives each slot back.
+    plan_taken: Vec<usize>,
+    /// Hosts whose `avail` weight was zeroed by this session's takes only.
     plan_suppressed: Vec<usize>,
 }
 
 impl Clone for IncrementalCapacity {
     // Written by hand so the share-vs-detach decision per field is
     // explicit (the fork-coverage contract): the three Arc lanes are
-    // shared — `free` is copy-on-write (the first residency change after
-    // a clone unshares it), `cell_of_host` and `pop_fixed` are immutable
-    // after build — the sampler's own manual Clone spells out its lanes,
-    // and the per-plan overlay is copied by value (it is empty between
-    // planning sessions).
+    // shared — `free` is copy-on-write (the first write after a clone
+    // unshares it), `cell_of_host` and `pop_fixed` are immutable after
+    // build — the sampler's own manual Clone spells out its lanes, and the
+    // plan's undo log is copied by value (it is empty between planning
+    // sessions).
     fn clone(&self) -> Self {
         IncrementalCapacity {
             free: Arc::clone(&self.free),
@@ -219,17 +215,13 @@ impl Clone for IncrementalCapacity {
 }
 
 impl IncrementalCapacity {
-    fn effective_free(&self, host: usize) -> u32 {
-        let taken = self.plan_taken.get(&host).copied().unwrap_or(0);
-        self.free[host] - taken
-    }
-
     fn take_at(&mut self, host: usize) -> bool {
-        if self.effective_free(host) == 0 {
+        if self.free[host] == 0 {
             return false;
         }
-        *self.plan_taken.entry(host).or_insert(0) += 1;
-        if self.effective_free(host) == 0 && self.avail.weight(host) > 0 {
+        Arc::make_mut(&mut self.free)[host] -= 1;
+        self.plan_taken.push(host);
+        if self.free[host] == 0 && self.avail.weight(host) > 0 {
             self.avail.set_weight(host, 0);
             self.plan_suppressed.push(host);
         }
@@ -267,8 +259,7 @@ impl CapacityIndex for IncrementalCapacity {
             cell_of_host: Arc::new(cell_of_host),
             pop_fixed,
             avail,
-            // tidy:allow(determinism) -- keyed-only overlay, see field doc
-            plan_taken: HashMap::new(),
+            plan_taken: Vec::new(),
             plan_suppressed: Vec::new(),
         }
     }
@@ -330,7 +321,7 @@ impl CapacityIndex for IncrementalCapacity {
     }
 
     fn plan_free(&self, host: HostId, _dc: &DataCenter) -> usize {
-        self.effective_free(host.as_usize()) as usize
+        self.free[host.as_usize()] as usize
     }
 
     fn plan_take(&mut self, host: HostId, _dc: &DataCenter) -> bool {
@@ -344,16 +335,21 @@ impl CapacityIndex for IncrementalCapacity {
         Some(HostId::from_raw(h as u32))
     }
 
-    // tidy:allow(panic-reachability) -- `plan_suppressed` holds indices previously admitted into these fleet-sized lanes by plan_take/plan_spill_pick.
+    // tidy:allow(panic-reachability) -- `plan_taken` and `plan_suppressed` hold indices previously admitted into these fleet-sized lanes by plan_take/plan_spill_pick.
     fn end_plan(&mut self) {
-        for h in std::mem::take(&mut self.plan_suppressed) {
-            // Suppressed by the overlay only: the committed view still has
+        if !self.plan_taken.is_empty() {
+            let free = Arc::make_mut(&mut self.free);
+            for h in self.plan_taken.drain(..) {
+                free[h] += 1;
+            }
+        }
+        for h in self.plan_suppressed.drain(..) {
+            // Suppressed by the plan only: the committed view still has
             // free slots here, so the weight comes back.
             if self.free[h] > 0 {
                 self.avail.set_weight(h, self.pop_fixed[h]);
             }
         }
-        self.plan_taken.clear();
     }
 }
 
@@ -439,7 +435,7 @@ mod tests {
         let mut rng = SimRng::seed_from(4);
         cap.begin_plan();
         // 4 hosts × 2 slots: exactly 8 picks succeed, then None.
-        let mut per_host = HashMap::new();
+        let mut per_host = std::collections::BTreeMap::new();
         for _ in 0..8 {
             let h = cap.plan_spill_pick(&dc, &mut rng).expect("slots left");
             *per_host.entry(h).or_insert(0u32) += 1;
@@ -448,5 +444,55 @@ mod tests {
         assert!(per_host.values().all(|&c| c <= 2), "capacity respected");
         cap.end_plan();
         assert_eq!(cap.total_free(&dc), 8, "overlay never committed");
+    }
+
+    #[test]
+    fn planning_on_a_branch_leaves_both_sides_committed() {
+        use eaao_cloudsim::ids::InstanceId;
+        let mut dc = small_dc(5, 8, 3);
+        let mut cap = index_for(&dc, 2);
+        // One host nearly full, one full, before the fork.
+        let (near, full) = (HostId::from_raw(1), HostId::from_raw(6));
+        for i in 0..2 {
+            dc.host_mut(near).admit(InstanceId::from_raw(i));
+        }
+        cap.on_admit_n(near, 2, &dc);
+        for i in 2..5 {
+            dc.host_mut(full).admit(InstanceId::from_raw(i));
+        }
+        cap.on_admit_n(full, 3, &dc);
+        let weights = |c: &IncrementalCapacity| -> Vec<u64> {
+            (0..dc.len()).map(|h| c.avail.weight(h)).collect()
+        };
+        let parent_weights = weights(&cap);
+
+        let mut branch = cap.clone();
+        let mut rng = SimRng::seed_from(6);
+        branch.begin_plan();
+        assert!(branch.plan_take(near, &dc));
+        assert!(!branch.plan_take(near, &dc), "near host exhausted");
+        assert!(!branch.plan_take(full, &dc));
+        for _ in 0..10 {
+            branch.plan_spill_pick(&dc, &mut rng).expect("slots left");
+        }
+        // Mid-plan, the parent still reads the committed state.
+        assert_mirrors(&cap, &dc);
+        assert_eq!(weights(&cap), parent_weights);
+        branch.end_plan();
+        assert_mirrors(&branch, &dc);
+        assert_mirrors(&cap, &dc);
+        assert_eq!(weights(&branch), parent_weights);
+
+        // And the other way round: the parent plans while the branch
+        // shares its lane again.
+        let branch = cap.clone();
+        cap.begin_plan();
+        for _ in 0..12 {
+            cap.plan_spill_pick(&dc, &mut rng).expect("slots left");
+        }
+        assert_mirrors(&branch, &dc);
+        cap.end_plan();
+        assert_mirrors(&cap, &dc);
+        assert_eq!(weights(&cap), parent_weights);
     }
 }

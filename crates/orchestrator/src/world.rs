@@ -61,6 +61,80 @@ impl Launch {
     }
 }
 
+/// Slots per [`InstanceArena`] chunk.
+const ARENA_CHUNK: usize = 1024;
+
+/// Every instance a world has created, indexed by id.
+///
+/// Instance ids are dense and monotonic (`World::next_instance`) and a
+/// terminated instance keeps its record, so an id is its own index:
+/// lookup is two array hops and iteration in index order is ascending id
+/// order. Records live in fixed chunks of [`ARENA_CHUNK`] slots, each
+/// reserved exactly once, rather than in one doubling `Vec`: growth never
+/// copies the records already stored or leaves more than one partly
+/// filled chunk of slack.
+#[derive(Debug, Clone, Default)]
+struct InstanceArena {
+    chunks: Vec<Vec<ContainerInstance>>,
+}
+
+impl InstanceArena {
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * ARENA_CHUNK + last.len())
+    }
+
+    /// Appends the record of the next id.
+    fn push(&mut self, instance: ContainerInstance) {
+        assert_eq!(
+            instance.id().as_usize(),
+            self.len(),
+            "instance ids are dense and monotonic"
+        );
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < ARENA_CHUNK => {
+                // A clone copies a partly filled chunk at its length only;
+                // its first push restores the full reservation at once.
+                if chunk.len() == chunk.capacity() {
+                    chunk.reserve_exact(ARENA_CHUNK - chunk.len());
+                }
+                chunk.push(instance);
+            }
+            _ => {
+                let mut chunk = Vec::with_capacity(ARENA_CHUNK);
+                chunk.push(instance);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn get(&self, id: InstanceId) -> Option<&ContainerInstance> {
+        let i = id.as_usize();
+        self.chunks.get(i / ARENA_CHUNK)?.get(i % ARENA_CHUNK)
+    }
+
+    fn get_mut(&mut self, id: InstanceId) -> Option<&mut ContainerInstance> {
+        let i = id.as_usize();
+        self.chunks
+            .get_mut(i / ARENA_CHUNK)?
+            .get_mut(i % ARENA_CHUNK)
+    }
+
+    /// All records in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = &ContainerInstance> {
+        self.chunks.iter().flatten()
+    }
+}
+
+impl std::ops::Index<InstanceId> for InstanceArena {
+    type Output = ContainerInstance;
+
+    fn index(&self, id: InstanceId) -> &ContainerInstance {
+        self.get(id).expect("instance id was issued by this world")
+    }
+}
+
 /// Internal scheduled events.
 #[derive(Debug, Clone, Copy)]
 enum WorldEvent {
@@ -102,9 +176,10 @@ pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatform
     accounts: BTreeMap<AccountId, Account>,
     services: BTreeMap<ServiceId, Service>,
     demand: BTreeMap<ServiceId, DemandWindow>,
-    /// Keyed by id in a `BTreeMap` so every whole-fleet iteration
-    /// (billing sums, bulk terminations) runs in one deterministic order.
-    instances: BTreeMap<InstanceId, ContainerInstance>,
+    /// Every instance ever created, terminated ones included, indexed by
+    /// id. Whole-fleet iteration (the billing sums) runs in ascending id
+    /// order, one fixed order on every run.
+    instances: InstanceArena,
     /// Idle instances per service, most recently idled first (ties broken
     /// by ascending id) — the warm-reuse order of `launch`.
     idle_index: BTreeMap<ServiceId, BTreeSet<(Reverse<SimTime>, InstanceId)>>,
@@ -251,7 +326,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             accounts: BTreeMap::new(),
             services: BTreeMap::new(),
             demand: BTreeMap::new(),
-            instances: BTreeMap::new(),
+            instances: InstanceArena::default(),
             idle_index: BTreeMap::new(),
             active_index: BTreeMap::new(),
             events: EventQueue::new(),
@@ -416,7 +491,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
 
     /// Reactivates a warm idle instance (idle index → active index).
     fn reactivate_instance(&mut self, id: InstanceId, now: SimTime) {
-        let instance = self.instances.get_mut(&id).expect("warm instance exists");
+        let instance = self.instances.get_mut(id).expect("warm instance exists");
         let service = instance.service();
         let idle_since = instance.idle_since().expect("idle instance");
         instance.reactivate(now);
@@ -441,23 +516,19 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     ) -> Vec<InstanceId> {
         let mitigation = self.region.tsc_mitigation;
         let mut ids = Vec::with_capacity(plan.len());
-        let mut per_host: BTreeMap<HostId, usize> = BTreeMap::new();
         for &host_id in plan {
             let id = InstanceId::from_raw(self.next_instance);
             self.next_instance += 1;
             self.dc.host_mut(host_id).admit(id);
             let host = self.dc.host(host_id);
             let sandbox = match spec.generation {
-                Generation::Gen1 => {
-                    let model = self.dc.model_of(host_id).clone();
-                    Sandbox::Gen1(Gen1Sandbox::with_mitigation(
-                        host,
-                        &model,
-                        mitigation,
-                        now,
-                        &mut self.rng,
-                    ))
-                }
+                Generation::Gen1 => Sandbox::Gen1(Gen1Sandbox::with_mitigation(
+                    host,
+                    self.dc.cpuid_of(host),
+                    mitigation,
+                    now,
+                    &mut self.rng,
+                )),
                 Generation::Gen2 => Sandbox::Gen2(Gen2Sandbox::with_mitigation(
                     host,
                     mitigation,
@@ -465,24 +536,24 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                     &mut self.rng,
                 )),
             };
-            self.instances.insert(
+            self.instances.push(ContainerInstance::new(
                 id,
-                ContainerInstance::new(
-                    id,
-                    service,
-                    owner,
-                    host_id,
-                    spec.size,
-                    spec.generation,
-                    sandbox,
-                    now,
-                ),
-            );
-            *per_host.entry(host_id).or_default() += 1;
+                service,
+                owner,
+                host_id,
+                spec.size,
+                spec.generation,
+                sandbox,
+                now,
+            ));
             ids.push(id);
         }
-        for (&host, &n) in &per_host {
-            self.capacity.on_admit_n(host, n, &self.dc);
+        // One capacity update per distinct host, in ascending host order:
+        // the runs of equal hosts in a sorted copy of the plan.
+        let mut hosts = plan.clone();
+        hosts.sort_unstable();
+        for run in hosts.chunk_by(|a, b| a == b) {
+            self.capacity.on_admit_n(run[0], run.len(), &self.dc);
         }
         self.active_index
             .entry(service)
@@ -550,12 +621,11 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 obs::observe("autoscaler.scale_in_size", surplus as u64);
                 let now = self.clock.now();
                 // Newest instances drain first (they have the least warm
-                // state worth keeping).
-                let doomed: Vec<InstanceId> = active.iter().rev().take(surplus).copied().collect();
-                for id in &doomed {
-                    self.disconnect_instance(*id, now);
+                // state worth keeping): the tail of the ascending list.
+                for &id in active.iter().rev().take(surplus) {
+                    self.disconnect_instance(id, now);
                 }
-                active.retain(|id| !doomed.contains(id));
+                active.truncate(active.len() - surplus);
                 Ok(active)
             }
         }
@@ -578,7 +648,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     }
 
     fn disconnect_instance(&mut self, id: InstanceId, now: SimTime) {
-        let instance = self.instances.get_mut(&id).expect("instance exists");
+        let instance = self.instances.get_mut(id).expect("instance exists");
         let service = instance.service();
         let period = instance.go_idle(now);
         let size = instance.size();
@@ -661,7 +731,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 instance,
                 idle_since,
             } => {
-                let Some(i) = self.instances.get(&instance) else {
+                let Some(i) = self.instances.get(instance) else {
                     return;
                 };
                 if i.state() == InstanceState::Idle && i.idle_since() == Some(idle_since) {
@@ -674,7 +744,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 // connection is its signal to reconnect (a fresh `launch`),
                 // which may land on a different host — exactly how the
                 // paper's week-long tracking loses fingerprint histories.
-                let Some(i) = self.instances.get(&instance) else {
+                let Some(i) = self.instances.get(instance) else {
                     return;
                 };
                 if i.is_alive() {
@@ -692,7 +762,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 let displaced = self.dc.reboot_host(host, now);
                 obs::count("world.instances_displaced", displaced.len() as u64);
                 for &id in &displaced {
-                    let instance = self.instances.get_mut(&id).expect("resident exists");
+                    let instance = self.instances.get_mut(id).expect("resident exists");
                     let service = instance.service();
                     let idle_since = (instance.state() == InstanceState::Idle)
                         .then(|| instance.idle_since())
@@ -720,7 +790,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
 
     fn terminate_instance(&mut self, id: InstanceId) {
         let now = self.clock.now();
-        let instance = self.instances.get_mut(&id).expect("instance exists");
+        let instance = self.instances.get_mut(id).expect("instance exists");
         let host = instance.host();
         let service = instance.service();
         let idle_since = (instance.state() == InstanceState::Idle)
@@ -769,7 +839,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     ///
     /// Panics if the id was never created.
     pub fn kill_instance(&mut self, id: InstanceId) {
-        if self.instances[&id].is_alive() {
+        if self.instances[id].is_alive() {
             self.terminate_instance(id);
         }
     }
@@ -840,7 +910,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let now = self.clock.now();
         let instance = self
             .instances
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or(GuestError::UnknownInstance(id))?;
         if !instance.is_alive() {
             return Err(GuestError::Terminated(id));
@@ -875,7 +945,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         for &id in participants {
             let instance = self
                 .instances
-                .get(&id)
+                .get(id)
                 .ok_or(GuestError::UnknownInstance(id))?;
             if !instance.is_alive() {
                 return Err(GuestError::Terminated(id));
@@ -885,7 +955,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let observations = participants
             .iter()
             .map(|&id| {
-                let host = self.instances[&id].host();
+                let host = self.instances[id].host();
                 let others = per_host[&host] - 1;
                 self.dc
                     .host(host)
@@ -919,7 +989,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         obs::count("world.rng_observations", 1);
         let obs_instance = self
             .instances
-            .get(&observer)
+            .get(observer)
             .ok_or(GuestError::UnknownInstance(observer))?;
         if !obs_instance.is_alive() {
             return Err(GuestError::Terminated(observer));
@@ -931,7 +1001,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 id != observer
                     && self
                         .instances
-                        .get(&id)
+                        .get(id)
                         .is_some_and(|i| i.is_alive() && i.host() == host)
             })
             .count();
@@ -980,7 +1050,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         for &id in participants {
             let instance = self
                 .instances
-                .get(&id)
+                .get(id)
                 .ok_or(GuestError::UnknownInstance(id))?;
             if !instance.is_alive() {
                 return Err(GuestError::Terminated(id));
@@ -990,7 +1060,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let observations = participants
             .iter()
             .map(|&id| {
-                let host = self.instances[&id].host();
+                let host = self.instances[id].host();
                 let others = per_host[&host] - 1;
                 profile.observe_lock_rounds(others, rounds, &mut self.rng)
             })
@@ -1015,14 +1085,14 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         for id in [a, b] {
             let instance = self
                 .instances
-                .get(&id)
+                .get(id)
                 .ok_or(GuestError::UnknownInstance(id))?;
             if !instance.is_alive() {
                 return Err(GuestError::Terminated(id));
             }
         }
-        let host_a = self.instances[&a].host();
-        let truth = host_a == self.instances[&b].host();
+        let host_a = self.instances[a].host();
+        let truth = host_a == self.instances[b].host();
         let bus = self.dc.host(host_a).memory_bus();
         let verdict = bus.pairwise_test(truth, &mut self.rng);
         obs::count("world.membus_tests", 1);
@@ -1056,7 +1126,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     ///
     /// Panics if the id is unknown.
     pub fn instance(&self, id: InstanceId) -> &ContainerInstance {
-        &self.instances[&id]
+        &self.instances[id]
     }
 
     /// **Ground truth**: the host an instance runs (or ran) on. Real
@@ -1066,7 +1136,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     ///
     /// Panics if the id is unknown.
     pub fn host_of(&self, id: InstanceId) -> HostId {
-        self.instances[&id].host()
+        self.instances[id].host()
     }
 
     /// **Ground truth**: whether two instances share a host.
@@ -1121,7 +1191,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let rates = self.region.rates;
         let open: Cost = self
             .instances
-            .values()
+            .iter()
             .filter_map(|i| {
                 i.open_active_period(now)
                     .map(|period| rates.instance_cost(i.size(), period))
@@ -1136,7 +1206,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let now = self.clock.now();
         let rates = self.region.rates;
         self.instances
-            .values()
+            .iter()
             .filter(|i| i.owner() == account)
             .map(|i| rates.instance_cost(i.size(), i.billed_active_time(now)))
             .sum()
@@ -1574,6 +1644,56 @@ mod tests {
         // Scheduling order is total across singles and batches: seq
         // numbers are handed out in call order (see EventQueue tests for
         // the pure-queue property).
+    }
+
+    #[test]
+    fn branch_launches_across_arena_chunk_edges() {
+        let (mut world, account, service) = small_world(22);
+        world.launch(service, 1_000).expect("within caps");
+        let mut branch = world.branch();
+        // 1,100 more ids on the branch: 1000..2100 crosses the chunk
+        // edges at 1024 and 2048, starting from the partly filled chunk
+        // the clone copied.
+        let extra =
+            branch.deploy_service(account, ServiceSpec::default().with_max_instances(1_000));
+        let a = branch.launch(extra, 600).expect("fits");
+        let b = branch.launch(extra, 500).expect("fits");
+        assert_eq!(a.instances()[23], InstanceId::from_raw(1_023));
+        assert_eq!(a.instances()[24], InstanceId::from_raw(1_024));
+        assert_eq!(a.instances()[25], InstanceId::from_raw(1_025));
+        assert_eq!(b.instances()[499], InstanceId::from_raw(2_099));
+        assert_eq!(
+            branch.alive_count(service) + branch.alive_count(extra),
+            2_100
+        );
+        assert_eq!(branch.data_center().resident_instances(), 2_100);
+        // The parent is untouched and never issued those ids.
+        assert_eq!(world.alive_count(service), 1_000);
+        assert_eq!(world.data_center().resident_instances(), 1_000);
+        assert_eq!(
+            world.with_guest(InstanceId::from_raw(1_024), |_, _| ()),
+            Err(GuestError::UnknownInstance(InstanceId::from_raw(1_024)))
+        );
+        // The parent issues the same service and instance ids to its own
+        // deployment.
+        let own = world.deploy_service(account, ServiceSpec::default().with_max_instances(1_000));
+        assert_eq!(own, extra);
+        let launch = world.launch(own, 30).expect("fits");
+        assert_eq!(launch.instances()[24], InstanceId::from_raw(1_024));
+        for w in [&world, &branch] {
+            for svc in [service, extra] {
+                for id in w.alive_instances_of(svc) {
+                    let host = w.data_center().host(w.host_of(id));
+                    assert!(host.hosts_instance(id), "{id} not resident on its host");
+                }
+            }
+            let resident: usize = w
+                .data_center()
+                .hosts()
+                .map(|h| h.residents().filter(|&id| w.host_of(id) == h.id()).count())
+                .sum();
+            assert_eq!(resident, w.data_center().resident_instances());
+        }
     }
 
     #[test]
