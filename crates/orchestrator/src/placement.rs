@@ -234,6 +234,7 @@ impl<E: Engine> CloudRunPolicy<E> {
             // host subset per launch — no per-account affinity for an
             // attacker to learn, no demand-driven spreading to exploit.
             let want =
+                // tidy:allow(float-determinism) -- ceil() before the cast and clamp(1, dc.len()) after make the rounding rule explicit for the subset size
                 ((need_new as f64 / self.config.target_density).ceil() as usize).clamp(1, dc.len());
             let pool = dc.len();
             let uniform = self
@@ -275,6 +276,7 @@ impl<E: Engine> CloudRunPolicy<E> {
         // Target hosts for this launch.
         let helpers = self.helper_hosts(service).to_vec();
         let targets = if helpers.is_empty() {
+            // tidy:allow(float-determinism) -- ceil() before the cast and clamp(1, base.len().max(1)) after make the rounding rule explicit for the target count
             let want = ((need_new as f64 / self.config.target_density).ceil() as usize)
                 .clamp(1, base.len().max(1));
             if self.dynamic {
@@ -388,6 +390,7 @@ impl<E: Engine> CloudRunPolicy<E> {
             return picked;
         }
         // Swap ~4% of the prefix with random tail members.
+        // tidy:allow(float-determinism) -- rounds a small non-negative product before the cast, so the swap count is explicit and below `want`; IEEE mul/round are exact, order-free operations
         let swaps = (want as f64 * 0.04).round() as usize;
         for _ in 0..swaps {
             let from = self.rng.below(want as u64) as usize;

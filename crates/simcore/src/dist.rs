@@ -269,6 +269,7 @@ pub fn weighted_sample_indices(weights: &[f64], k: usize, rng: &mut SimRng) -> V
         .enumerate()
         .filter_map(|(i, &w)| {
             assert!(w.is_finite() && w >= 0.0, "weights must be non-negative");
+            // tidy:allow(float-determinism) -- exact-zero sentinel: 0.0 is representable exactly and marks an excluded weight, never the result of accumulation
             if w == 0.0 {
                 return None;
             }

@@ -154,6 +154,7 @@ impl SimRng {
     }
 
     /// Returns a uniformly chosen element of `items`, or `None` if empty.
+    // tidy:allow(panic-reachability) -- below(len) samples uniformly in 0..len, so the index is always in range
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
             None

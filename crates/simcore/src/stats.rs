@@ -48,8 +48,10 @@ impl Summary {
             };
         }
         let n = xs.len() as f64;
+        // tidy:allow(float-determinism) -- reduces a slice in its fixed order; summary statistics are reporting output, not world state
         let mean = xs.iter().sum::<f64>() / n;
         let var = if xs.len() > 1 {
+            // tidy:allow(float-determinism) -- reduces a slice in its fixed order; summary statistics are reporting output, not world state
             xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0)
         } else {
             0.0
@@ -158,7 +160,9 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
         return None;
     }
     let nf = n as f64;
+    // tidy:allow(float-determinism) -- reduces a slice in its fixed order; the fit is a reporting statistic over recorded observations
     let mean_x = xs.iter().sum::<f64>() / nf;
+    // tidy:allow(float-determinism) -- reduces a slice in its fixed order; the fit is a reporting statistic over recorded observations
     let mean_y = ys.iter().sum::<f64>() / nf;
     let mut sxx = 0.0;
     let mut syy = 0.0;
@@ -170,11 +174,13 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
         syy += dy * dy;
         sxy += dx * dy;
     }
+    // tidy:allow(float-determinism) -- exact-zero guard before dividing by sxx; the reductions above it run in fixed slice order, so the comparison is reproducible
     if sxx == 0.0 {
         return None;
     }
     let slope = sxy / sxx;
     let intercept = mean_y - slope * mean_x;
+    // tidy:allow(float-determinism) -- exact-zero guard before dividing by syy; the reductions above it run in fixed slice order, so the comparison is reproducible
     let r_value = if syy == 0.0 {
         0.0
     } else {
@@ -239,6 +245,7 @@ impl Ecdf {
     pub fn quantile(&self, q: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "quantile of empty sample");
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
+        // tidy:allow(float-determinism) -- ceil() before the cast and clamp(1, len) after make the nearest-rank rule explicit
         let idx = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
         self.sorted[idx - 1]
     }

@@ -78,6 +78,7 @@ impl SimTime {
 
     /// Creates an instant from fractional seconds since the epoch.
     pub fn from_secs_f64(secs: f64) -> Self {
+        // tidy:allow(float-determinism) -- the documented float-to-tick quantization boundary: round() fixes the rule before entering the i64 tick lane
         SimTime((secs * NANOS_PER_SEC as f64).round() as i64)
     }
 
@@ -228,6 +229,7 @@ impl SimDuration {
 
     /// Creates a span from fractional seconds.
     pub fn from_secs_f64(secs: f64) -> Self {
+        // tidy:allow(float-determinism) -- the documented float-to-tick quantization boundary: round() fixes the rule before entering the i64 tick lane
         SimDuration((secs * NANOS_PER_SEC as f64).round() as i64)
     }
 
@@ -329,6 +331,7 @@ impl Mul<f64> for SimDuration {
     type Output = SimDuration;
 
     fn mul(self, rhs: f64) -> SimDuration {
+        // tidy:allow(float-determinism) -- the documented float-to-tick quantization boundary: round() fixes the rule before re-entering the i64 tick lane
         SimDuration((self.0 as f64 * rhs).round() as i64)
     }
 }

@@ -48,9 +48,11 @@ pub fn fixed_weight(weight: f64) -> u64 {
         "weight must be finite and non-negative, got {weight}"
     );
     assert!(weight < (1u64 << 23) as f64, "weight {weight} too large");
+    // tidy:allow(float-determinism) -- exact-zero sentinel on a caller-supplied weight: 0.0 is representable exactly and means excluded, never the result of accumulation
     if weight == 0.0 {
         0
     } else {
+        // tidy:allow(float-determinism) -- the documented weight quantization boundary: round() against WEIGHT_SCALE then max(1) fixes the rule entering the u64 sampler lane
         ((weight * WEIGHT_SCALE).round() as u64).max(1)
     }
 }
@@ -250,6 +252,7 @@ impl IndexSampler for FenwickSampler {
     // tidy:allow(panic-reachability) -- `index` is a slot previously returned by pick/locate, which only yield indices below the fixed construction-time length.
     fn set_weight(&mut self, index: usize, weight: u64) {
         let old = self.weights[index];
+        // tidy:allow(float-determinism) -- false positive: both operands here are u64; the file-scoped float-ident table picked up fixed_weight's f64 parameter of the same name `weight`
         if old == weight {
             return;
         }

@@ -18,10 +18,6 @@
 //!   branch even without an `Arc` around them. Finding at the field;
 //!   non-`Clone` types (caches keyed off shared state, e.g. `WorldCache`)
 //!   are exempt because they never cross a branch.
-//!
-//! Field findings carry symbol `Type.field`; write-site findings carry
-//! `Type.field` too (the baseline keys on `(check, file, symbol)`, so a
-//! field stays one sanctioned site no matter how often it moves).
 
 use crate::checks::find_token;
 use crate::diag::{CheckId, Diagnostic};
@@ -58,8 +54,7 @@ fn field_findings(model: &FieldModel, out: &mut Vec<(usize, Diagnostic)>) {
                              is the contract",
                             wrapper, t.def.name, field.name
                         ),
-                    )
-                    .with_symbol(format!("{}.{}", t.def.name, field.name)),
+                    ),
                 ));
             } else if let (Some(wrapper), true) = (class.interior, t.is_clone) {
                 out.push((
@@ -75,8 +70,7 @@ fn field_findings(model: &FieldModel, out: &mut Vec<(usize, Diagnostic)>) {
                              the genesis-lane justification",
                             wrapper, field.name, t.def.name
                         ),
-                    )
-                    .with_symbol(format!("{}.{}", t.def.name, field.name)),
+                    ),
                 ));
             }
         }
@@ -143,8 +137,7 @@ fn write_site_findings(
                                  unshares (copy-on-write) instead of failing or \
                                  aliasing once a branch exists"
                             ),
-                        )
-                        .with_symbol(format!("{ty_name}.{field}")),
+                        ),
                     ));
                 }
             }
@@ -210,7 +203,7 @@ mod tests {
         let (_, d) = &out[0];
         assert_eq!(d.check, CheckId::CowAliasing);
         assert_eq!(d.line, 14);
-        assert_eq!(d.symbol, "Sampler.tree");
+        assert!(d.message.contains("`Arc` field `tree`"), "{}", d.message);
         assert!(d.message.contains("Arc::get_mut"));
         assert!(d.message.contains("Arc::make_mut"));
     }
@@ -241,7 +234,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         let (_, d) = &out[0];
         assert_eq!(d.line, 2);
-        assert_eq!(d.symbol, "Clock.now");
+        assert!(d.message.contains("(field `now`)"), "{}", d.message);
         assert!(d.message.contains("Mutex"));
         assert!(d.message.contains("alias across every clone"));
     }
@@ -261,7 +254,7 @@ mod tests {
         // Center is Clone with a OnceCell lane: finding. Cache has a
         // snapshot fn (fork-surface root) but is not Clone: exempt.
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.symbol, "Center.shards");
+        assert!(out[0].1.message.contains("field `shards`"));
         assert!(out[0].1.message.contains("OnceCell"));
     }
 

@@ -44,8 +44,7 @@ pub fn check(ws: &Workspace, inputs: &[FileInput<'_>], out: &mut Vec<(usize, Dia
                         "`let _ =` swallows this result; handle or log the \
                          error, or carry a justified tidy:allow(error-policy) \
                          for a deliberate best-effort discard",
-                    )
-                    .with_symbol(enclosing_fn(input, lineno)),
+                    ),
                 ));
             }
             if code.ends_with(".ok();") {
@@ -58,8 +57,7 @@ pub fn check(ws: &Workspace, inputs: &[FileInput<'_>], out: &mut Vec<(usize, Dia
                         "`.ok()` in statement position discards this error; \
                          handle or log it, or carry a justified \
                          tidy:allow(error-policy)",
-                    )
-                    .with_symbol(enclosing_fn(input, lineno)),
+                    ),
                 ));
             }
         }
@@ -104,21 +102,8 @@ pub fn check(ws: &Workspace, inputs: &[FileInput<'_>], out: &mut Vec<(usize, Dia
                          tidy:allow(error-policy)",
                         callee.qual
                     ),
-                )
-                .with_symbol(format!("{}@{}", f.qual, name)),
+                ),
             ));
         }
     }
-}
-
-/// Name of the innermost function enclosing `lineno` in this file, for
-/// the finding's stable symbol (empty outside any function).
-fn enclosing_fn(input: &FileInput<'_>, lineno: usize) -> String {
-    input
-        .model
-        .fns
-        .iter()
-        .rfind(|f| f.line <= lineno && lineno <= f.end_line)
-        .map(|f| f.name.clone())
-        .unwrap_or_default()
 }

@@ -22,14 +22,12 @@
 //! "Known-float identifiers" are collected per file from `name: f64` /
 //! `name: f32` annotations (fields, params, lets) — deliberately shallow,
 //! like every other lexical layer in this tool: no type inference, just
-//! enough signal to anchor a witness. Symbols are
-//! `{Type::}fn#kind[/ordinal]`, so baseline entries survive line churn.
-
-use std::collections::BTreeMap;
+//! enough signal to anchor a witness.
 
 use crate::checks::find_token;
 use crate::diag::{CheckId, Diagnostic};
 use crate::fields::FileInput;
+use crate::source::is_ident;
 
 /// Unordered-reduction tokens, matched with identifier boundaries.
 const REDUCERS: &[&str] = &[
@@ -47,64 +45,42 @@ const INT_TYPES: &[&str] = &[
 /// Runs the per-file scan, appending raw `(file_idx, finding)` pairs.
 pub fn check(input: &FileInput<'_>, out: &mut Vec<(usize, Diagnostic)>) {
     let floats = known_floats(input);
-    let mut ordinals: BTreeMap<String, usize> = BTreeMap::new();
     for (lineno, line) in crate::checks::lib_code_lines(input.src) {
         let code = &line.code;
-        let mut push = |kind: &str, message: String, out: &mut Vec<(usize, Diagnostic)>| {
-            let base = format!("{}#{kind}", fn_symbol(input, lineno));
-            let n = ordinals.entry(base.clone()).or_insert(0);
-            *n += 1;
-            let symbol = if *n == 1 { base } else { format!("{base}/{n}") };
+        let mut push = |message: String| {
             out.push((
                 input.file_idx,
-                Diagnostic::new(input.rel, lineno, CheckId::FloatDeterminism, message)
-                    .with_symbol(symbol),
+                Diagnostic::new(input.rel, lineno, CheckId::FloatDeterminism, message),
             ));
         };
         if let Some(tok) = REDUCERS.iter().find(|t| code.contains(*t)) {
-            push(
-                "reduction",
-                format!(
-                    "unordered float reduction `.{tok}()`: summation order changes \
-                     the result — reduce in the fixed-point lanes (u64 ticks, \
-                     mul_div) or document the ordering and suppress"
-                ),
-                out,
-            );
+            push(format!(
+                "unordered float reduction `.{tok}()`: summation order changes \
+                 the result — reduce in the fixed-point lanes (u64 ticks, \
+                 mul_div) or document the ordering and suppress"
+            ));
         } else if let Some(seed) = float_fold_seed(code) {
-            push(
-                "reduction",
-                format!(
-                    "float `fold` seeded with `{seed}`: accumulation order changes \
-                     the result — reduce in the fixed-point lanes or document the \
-                     ordering and suppress"
-                ),
-                out,
-            );
+            push(format!(
+                "float `fold` seeded with `{seed}`: accumulation order changes \
+                 the result — reduce in the fixed-point lanes or document the \
+                 ordering and suppress"
+            ));
         }
         for (op_at, op) in eq_operators(code) {
             if let Some(operand) = float_operand(code, op_at, op.len(), &floats) {
-                push(
-                    "eq",
-                    format!(
-                        "float `{op}` comparison against `{operand}`: equality after \
-                         float arithmetic is representation-dependent — compare in \
-                         fixed point or with an explicit tolerance"
-                    ),
-                    out,
-                );
+                push(format!(
+                    "float `{op}` comparison against `{operand}`: equality after \
+                     float arithmetic is representation-dependent — compare in \
+                     fixed point or with an explicit tolerance"
+                ));
             }
         }
         for target in truncating_casts(code, &floats) {
-            push(
-                "cast",
-                format!(
-                    "truncating `as {target}` cast from a float: `as` rounds toward \
-                     zero silently — route through the fixed-point helpers so the \
-                     rounding rule is explicit"
-                ),
-                out,
-            );
+            push(format!(
+                "truncating `as {target}` cast from a float: `as` rounds toward \
+                 zero silently — route through the fixed-point helpers so the \
+                 rounding rule is explicit"
+            ));
         }
     }
 }
@@ -129,7 +105,7 @@ fn known_floats(input: &FileInput<'_>) -> std::collections::BTreeSet<String> {
                 let ident: String = before
                     .chars()
                     .rev()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .take_while(|&c| is_ident(c))
                     .collect::<Vec<_>>()
                     .into_iter()
                     .rev()
@@ -141,26 +117,6 @@ fn known_floats(input: &FileInput<'_>) -> std::collections::BTreeSet<String> {
         }
     }
     floats
-}
-
-/// The innermost function containing `lineno`, as `Type::name` / `name`,
-/// or `<file>` at module scope.
-fn fn_symbol(input: &FileInput<'_>, lineno: usize) -> String {
-    let mut best: Option<(usize, String)> = None;
-    for f in &input.model.fns {
-        if !f.has_body || lineno < f.line || lineno > f.end_line {
-            continue;
-        }
-        let span = f.end_line - f.line;
-        let name = match &f.type_ctx {
-            Some(ty) => format!("{ty}::{}", f.name),
-            None => f.name.clone(),
-        };
-        if best.as_ref().is_none_or(|(s, _)| span < *s) {
-            best = Some((span, name));
-        }
-    }
-    best.map_or_else(|| "<file>".to_owned(), |(_, name)| name)
 }
 
 /// If the line calls `.fold(` with a float-literal seed, returns the seed.
@@ -245,10 +201,7 @@ fn float_operand<'c>(
     if let Some(n) = float_literal_len(right) {
         return Some(&right[..n]);
     }
-    let ident_len = right
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .count();
+    let ident_len = right.chars().take_while(|&c| is_ident(c)).count();
     if ident_len > 0 && floats.contains(&right[..ident_len]) {
         return Some(&right[..ident_len]);
     }
@@ -257,7 +210,7 @@ fn float_operand<'c>(
     let tail_start = left
         .char_indices()
         .rev()
-        .take_while(|(_, c)| c.is_alphanumeric() || *c == '_' || *c == '.')
+        .take_while(|&(_, c)| is_ident(c) || c == '.')
         .last()
         .map(|(i, _)| i)?;
     let tail = &left[tail_start..];
@@ -293,7 +246,7 @@ fn truncating_casts<'c>(
         let tail_start = left
             .char_indices()
             .rev()
-            .take_while(|(_, c)| c.is_alphanumeric() || *c == '_' || *c == '.')
+            .take_while(|&(_, c)| is_ident(c) || c == '.')
             .last()
             .map(|(i, _)| i);
         let is_float_source = match tail_start {
@@ -351,10 +304,8 @@ mod tests {
              total + alt\n}\n");
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].line, 2);
-        assert_eq!(out[0].symbol, "mean#reduction");
         assert!(out[0].message.contains("sum::<f64>"));
         assert_eq!(out[1].line, 3);
-        assert_eq!(out[1].symbol, "mean#reduction/2");
         assert!(out[1].message.contains("`0.0`"));
     }
 
@@ -367,7 +318,7 @@ mod tests {
         // Line 2: rhs literal. Line 5: lhs literal (and rhs known ident).
         // Line 6: integer compare, clean.
         assert_eq!(out.len(), 2);
-        assert_eq!((out[0].line, out[0].symbol.as_str()), (2, "check#eq"));
+        assert_eq!(out[0].line, 2);
         assert!(out[0].message.contains("`0.5`"));
         assert_eq!(out[1].line, 5);
         assert!(out[1].message.contains("`!=`"));
@@ -382,9 +333,7 @@ mod tests {
              a + b + u64::from(c)\n}\n");
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].line, 2);
-        assert_eq!(out[0].symbol, "quantize#cast");
         assert_eq!(out[1].line, 3);
-        assert_eq!(out[1].symbol, "quantize#cast/2");
         assert!(out[1].message.contains("as u64"));
     }
 
@@ -406,9 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn module_scope_findings_get_the_file_symbol() {
+    fn module_scope_findings_are_reported() {
         let out = run("pub const SHARE: bool = 0.5 == 0.5;\n");
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].symbol, "<file>#eq");
+        assert_eq!(out[0].line, 1);
     }
 }

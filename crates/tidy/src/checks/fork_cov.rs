@@ -19,9 +19,8 @@
 //!   mention requirement then documents each field) or suppress at the
 //!   field with the sanctioned-sharing justification.
 //!
-//! Findings anchor at the field's declaration line with symbol
-//! `Type.field` (or `Type::fn.field` for a missing mention), so inline
-//! suppressions sit on the field and baseline entries survive line churn.
+//! Findings anchor at the field's declaration line, so inline
+//! suppressions sit on the field.
 
 use crate::diag::{CheckId, Diagnostic};
 use crate::fields::{classify, has_named_fields, returns_self, FieldModel};
@@ -50,8 +49,7 @@ pub fn check(model: &FieldModel, out: &mut Vec<(usize, Diagnostic)>) {
                                  suppress here with the sanctioned-sharing reason",
                                 t.def.name, field.name
                             ),
-                        )
-                        .with_symbol(format!("{}.{}", t.def.name, field.name)),
+                        ),
                     ));
                 }
             }
@@ -92,8 +90,7 @@ pub fn check(model: &FieldModel, out: &mut Vec<(usize, Diagnostic)>) {
                              SimClock bug class), or suppress here with the reason",
                             t.def.name, f.name, field.name
                         ),
-                    )
-                    .with_symbol(format!("{}::{}.{}", t.def.name, f.name, field.name)),
+                    ),
                 ));
             }
         }
@@ -152,8 +149,9 @@ mod tests {
         let (_, d) = &out[0];
         assert_eq!(d.check, CheckId::ForkCoverage);
         assert_eq!(d.line, 12); // `b: u64` in Missing
-        assert_eq!(d.symbol, "Missing::fork.b");
-        assert!(d.message.contains("does not mention field `b`"));
+        assert!(d
+            .message
+            .contains("`Missing::fork` does not mention field `b`"));
     }
 
     #[test]
@@ -169,7 +167,7 @@ mod tests {
         )]);
         // Only the Arc field under derive(Clone); the fork body covers both.
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.symbol, "Clock.now");
+        assert!(out[0].1.message.contains("`Arc` field `now`"));
         assert!(out[0].1.message.contains("derive(Clone)"));
     }
 
@@ -201,7 +199,10 @@ mod tests {
         // Mentions `tree` (and the word `clone`), so it is constructing,
         // not delegating: `total` is still owed.
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.symbol, "Sampler::branch.total");
+        assert!(out[0]
+            .1
+            .message
+            .contains("`Sampler::branch` does not mention field `total`"));
     }
 
     #[test]
@@ -231,6 +232,9 @@ mod tests {
              Policy::Sampled(x) => Policy::Sampled(*x),\n        }\n    }\n}\n",
         )]);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.symbol, "Policy::clone.Sampled");
+        assert!(out[0]
+            .1
+            .message
+            .contains("`Policy::clone` does not mention field `Sampled`"));
     }
 }

@@ -85,20 +85,17 @@ pub fn check(ws: &Workspace, supp: &mut dyn SuppressionOracle, out: &mut Vec<Dia
                     .map(|l| format!("`{l}`"))
                     .collect::<Vec<_>>()
                     .join(", ");
-                across.push(
-                    Diagnostic::new(
-                        &f.rel,
-                        line,
-                        CheckId::LockOrder,
-                        format!(
-                            "`{}` holds {held_list} across a call into `{}`, which may \
+                across.push(Diagnostic::new(
+                    &f.rel,
+                    line,
+                    CheckId::LockOrder,
+                    format!(
+                        "`{}` holds {held_list} across a call into `{}`, which may \
                              acquire {lock_list}: drop the guard before the call, or \
                              justify why the acquisition order is safe",
-                            f.qual, ws.fns[callee].qual
-                        ),
-                    )
-                    .with_symbol(format!("{} -> {}", f.qual, ws.fns[callee].qual)),
-                );
+                        f.qual, ws.fns[callee].qual
+                    ),
+                ));
             }
         }
     }
@@ -173,13 +170,6 @@ pub fn check(ws: &Workspace, supp: &mut dyn SuppressionOracle, out: &mut Vec<Dia
             .map(|(from, to, (_, rel, line))| format!("`{from}` -> `{to}` ({rel}:{line})"))
             .collect::<Vec<_>>()
             .join(", ");
-        let symbol = {
-            let mut names: Vec<String> = scc.iter().map(|s| (*s).clone()).collect();
-            names.sort();
-            let first = names[0].clone();
-            names.push(first);
-            names.join(" -> ")
-        };
         let message = if scc.len() == 1 {
             format!(
                 "lock `{node}` can be re-acquired while already held ({edge_list}): \
@@ -191,9 +181,12 @@ pub fn check(ws: &Workspace, supp: &mut dyn SuppressionOracle, out: &mut Vec<Dia
                  for these locks"
             )
         };
-        out.push(
-            Diagnostic::new(&anchor.1, anchor.2, CheckId::LockOrder, message).with_symbol(symbol),
-        );
+        out.push(Diagnostic::new(
+            &anchor.1,
+            anchor.2,
+            CheckId::LockOrder,
+            message,
+        ));
     }
 
     out.extend(across);
@@ -267,7 +260,8 @@ mod tests {
             .filter(|d| d.message.contains("lock-order cycle"))
             .collect();
         assert_eq!(cycles.len(), 1, "{d:?}");
-        assert_eq!(cycles[0].symbol, "S.alpha -> S.beta -> S.alpha");
+        assert!(cycles[0].message.contains("`S.alpha` -> `S.beta`"));
+        assert!(cycles[0].message.contains("`S.beta` -> `S.alpha`"));
         assert_eq!(cycles[0].line, 5);
     }
 
@@ -286,8 +280,13 @@ mod tests {
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 5);
-        assert_eq!(d[0].symbol, "eaao_obs::S::outer -> eaao_obs::helper");
-        assert!(d[0].message.contains("`S.alpha`"), "{}", d[0].message);
+        assert!(
+            d[0].message.contains(
+                "`eaao_obs::S::outer` holds `S.alpha` across a call into `eaao_obs::helper`"
+            ),
+            "{}",
+            d[0].message
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod threads;
 
 use crate::diag::{suppressible_checks, CheckId, Diagnostic};
 use crate::policy::{CratePolicy, FileKind};
-use crate::source::{Line, SourceFile};
+use crate::source::{is_ident, Line, SourceFile};
 
 /// Finds `pattern` in masked code with identifier boundaries on both ends
 /// (`HashMap` does not match `FxHashMap` or `HashMaps`; `std::fs` does
@@ -34,16 +34,9 @@ pub fn find_token(code: &str, pattern: &str) -> Option<usize> {
     let mut from = 0;
     while let Some(rel) = code[from..].find(pattern) {
         let at = from + rel;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        let before_ok = at == 0 || !code[..at].chars().next_back().is_some_and(is_ident);
         let after = at + pattern.len();
-        let after_ok = !code[after..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        let after_ok = !code[after..].chars().next().is_some_and(is_ident);
         if before_ok && after_ok {
             return Some(at);
         }

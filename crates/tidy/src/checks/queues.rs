@@ -29,7 +29,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<(usize, Diagnostic)>) {
         if !f.policy.concurrency {
             continue;
         }
-        for (ord, q) in f.item.queues.iter().enumerate() {
+        for q in &f.item.queues {
             if q.bounded || q.bound_named {
                 continue;
             }
@@ -45,8 +45,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<(usize, Diagnostic)>) {
                          `// bound: …` comment at the construction site",
                         q.what
                     ),
-                )
-                .with_symbol(format!("{}#queue{}", f.qual, ord)),
+                ),
             ));
         }
     }

@@ -33,8 +33,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<(usize, Diagnostic)>) {
         if !f.policy.concurrency {
             continue;
         }
-        for (ord, spawn) in f.item.spawns.iter().enumerate() {
-            let symbol = format!("{}#spawn{}", f.qual, ord);
+        for spawn in &f.item.spawns {
             if spawn.discarded {
                 out.push((
                     f.file_idx,
@@ -46,8 +45,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<(usize, Diagnostic)>) {
                          join it, store it in a tracked container, or carry a \
                          justified tidy:allow(thread-lifecycle) for a \
                          deliberate detach",
-                    )
-                    .with_symbol(&symbol),
+                    ),
                 ));
             } else if let Some(binding) = &spawn.binding {
                 if !spawn.binding_used {
@@ -62,8 +60,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<(usize, Diagnostic)>) {
                                  or returned after the spawn; the thread detaches \
                                  silently when the handle drops at scope end"
                             ),
-                        )
-                        .with_symbol(&symbol),
+                        ),
                     ));
                 }
             }
@@ -107,8 +104,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<(usize, Diagnostic)>) {
                              whatever queue it was draining",
                             offenders.join(", ")
                         ),
-                    )
-                    .with_symbol(&symbol),
+                    ),
                 ));
             }
         }

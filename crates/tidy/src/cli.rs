@@ -2,8 +2,7 @@
 //! and the root `eaao tidy` subcommand.
 //!
 //! ```text
-//! eaao-tidy [--root DIR] [--json PATH] [--write-baseline] [--list-checks]
-//!           [--timings]
+//! eaao-tidy [--root DIR] [--json PATH] [--list-checks] [--timings]
 //! ```
 //!
 //! * `--json PATH` additionally writes the findings as a machine-readable
@@ -12,11 +11,6 @@
 //! * `--timings` prints a per-phase wall-clock breakdown after the scan,
 //!   so the analysis' own runtime stays an explicit budget (the CI smoke
 //!   step gates on the total).
-//! * `--write-baseline` rewrites `tidy-baseline.json` so the current
-//!   semantic findings are accepted as known debt, carrying over
-//!   justifications for keys that already had them. New entries get an
-//!   empty justification, which is itself a finding until a human fills
-//!   it in — accepting debt takes two deliberate steps.
 //! * `--list-checks` prints every registered check with its one-line
 //!   contract and policy scope, straight from the registry the scanner
 //!   runs — the listing cannot drift from the implementation.
@@ -24,9 +18,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use crate::baseline::{self, BASELINE_FILE};
 use crate::diag::{Diagnostic, CHECK_REGISTRY};
-use crate::jsonio;
 use crate::walk;
 
 /// Parsed command line.
@@ -34,13 +26,12 @@ use crate::walk;
 struct Options {
     root: Option<PathBuf>,
     json: Option<String>,
-    write_baseline: bool,
     list_checks: bool,
     timings: bool,
 }
 
-const USAGE: &str = "usage: eaao-tidy [--root WORKSPACE_DIR] [--json PATH|-] [--write-baseline] \
-     [--list-checks] [--timings]";
+const USAGE: &str =
+    "usage: eaao-tidy [--root WORKSPACE_DIR] [--json PATH|-] [--list-checks] [--timings]";
 
 /// Runs the CLI on already-split arguments (exclusive of the program
 /// name). Returns the process exit code: 0 clean, 1 findings, 2 usage
@@ -58,7 +49,6 @@ pub fn run(args: &[String]) -> u8 {
                 Some(path) => opts.json = Some(path.clone()),
                 None => return usage_error("--json needs a path (or `-` for stdout)"),
             },
-            "--write-baseline" => opts.write_baseline = true,
             "--list-checks" => opts.list_checks = true,
             "--timings" => opts.timings = true,
             "--help" | "-h" => {
@@ -75,27 +65,6 @@ pub fn run(args: &[String]) -> u8 {
     let root = opts.root.unwrap_or_else(default_root);
 
     let outcome = walk::scan_workspace(&root);
-
-    if opts.write_baseline {
-        let previous = walk::load_baseline(&root).unwrap_or_default();
-        let next = baseline::rebuild(&previous, &outcome.semantic);
-        let holes = next
-            .entries
-            .iter()
-            .filter(|e| e.justification.trim().is_empty())
-            .count();
-        if let Err(err) = fs::write(root.join(BASELINE_FILE), next.render()) {
-            eprintln!("eaao-tidy: cannot write {BASELINE_FILE}: {err}");
-            return 2;
-        }
-        println!(
-            "eaao-tidy: wrote {BASELINE_FILE} with {} entr{} ({holes} missing a \
-             justification — fill those in before committing)",
-            next.entries.len(),
-            if next.entries.len() == 1 { "y" } else { "ies" },
-        );
-        return 0;
-    }
 
     for d in &outcome.findings {
         println!("{d}");
@@ -117,9 +86,9 @@ pub fn run(args: &[String]) -> u8 {
         0
     } else {
         eprintln!(
-            "eaao-tidy: {} finding(s); see docs/STATIC_ANALYSIS.md for the \
-             policy, the `// tidy:allow(check) -- why` suppression syntax, \
-             and the {BASELINE_FILE} ratchet",
+            "eaao-tidy: {} finding(s); fix each one, or silence it with \
+             `// tidy:allow(check) -- why this is sound` (see \
+             docs/STATIC_ANALYSIS.md)",
             outcome.findings.len()
         );
         1
@@ -171,19 +140,18 @@ pub fn render_timings(timings: &[(&'static str, f64)]) -> String {
 /// Renders the findings document: a stable, versioned JSON array sorted
 /// the same way the text output is.
 pub fn render_json(findings: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
+    let mut out = String::from("{\n  \"version\": 2,\n  \"findings\": [");
     for (i, d) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
             "\n    {{\n      \"file\": {},\n      \"line\": {},\n      \"check\": {},\n      \
-             \"symbol\": {},\n      \"message\": {}\n    }}",
-            jsonio::quote(&d.file),
+             \"message\": {}\n    }}",
+            quote(&d.file),
             d.line,
-            jsonio::quote(d.check.name()),
-            jsonio::quote(&d.symbol),
-            jsonio::quote(&d.message),
+            quote(d.check.name()),
+            quote(&d.message),
         ));
     }
     if findings.is_empty() {
@@ -191,6 +159,25 @@ pub fn render_json(findings: &[Diagnostic]) -> String {
     } else {
         out.push_str("\n  ]\n}\n");
     }
+    out
+}
+
+/// Quotes `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }
 
@@ -224,21 +211,16 @@ mod tests {
     fn json_document_shape_is_stable() {
         let findings = vec![
             Diagnostic::new("a.rs", 3, CheckId::Determinism, "msg \"quoted\""),
-            Diagnostic::new("b.rs", 7, CheckId::LockOrder, "cycle").with_symbol("x -> y -> x"),
+            Diagnostic::new("b.rs", 7, CheckId::LockOrder, "cycle\tx\u{1}"),
         ];
         let doc = render_json(&findings);
-        let parsed = jsonio::parse(&doc).expect("valid JSON");
-        let Some(jsonio::Json::Arr(items)) = parsed.get("findings") else {
-            panic!("findings array missing");
-        };
-        assert_eq!(items.len(), 2);
         assert_eq!(
-            items[0].get("file").and_then(jsonio::Json::as_str),
-            Some("a.rs")
-        );
-        assert_eq!(
-            items[1].get("symbol").and_then(jsonio::Json::as_str),
-            Some("x -> y -> x")
+            doc,
+            "{\n  \"version\": 2,\n  \"findings\": [\n    {\n      \"file\": \"a.rs\",\n      \
+             \"line\": 3,\n      \"check\": \"determinism\",\n      \"message\": \
+             \"msg \\\"quoted\\\"\"\n    },\n    {\n      \"file\": \"b.rs\",\n      \
+             \"line\": 7,\n      \"check\": \"lock-order\",\n      \"message\": \
+             \"cycle\\tx\\u0001\"\n    }\n  ]\n}\n"
         );
         assert_eq!(render_json(&findings), doc, "byte-stable");
     }
@@ -276,8 +258,9 @@ mod tests {
 
     #[test]
     fn empty_findings_render_an_empty_array() {
-        let doc = render_json(&[]);
-        let parsed = jsonio::parse(&doc).expect("valid JSON");
-        assert_eq!(parsed.get("findings"), Some(&jsonio::Json::Arr(Vec::new())));
+        assert_eq!(
+            render_json(&[]),
+            "{\n  \"version\": 2,\n  \"findings\": []\n}\n"
+        );
     }
 }

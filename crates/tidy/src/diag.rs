@@ -50,9 +50,6 @@ pub enum CheckId {
     /// A `crates/*` directory with no row in the policy table, or a
     /// source file the scan cannot read.
     CrateRegistry,
-    /// A stale, duplicate, unjustified, or unparsable entry in
-    /// `tidy-baseline.json`.
-    Baseline,
 }
 
 impl CheckId {
@@ -72,27 +69,17 @@ impl CheckId {
             CheckId::QueueBounds => "queue-bounds",
             CheckId::ErrorPolicy => "error-policy",
             CheckId::CrateRegistry => "crate-registry",
-            CheckId::Baseline => "baseline",
         }
     }
 
     /// Resolves a suppression name back to a check. The `meta` checks
-    /// (`suppression`, `crate-registry`, `baseline`) are not suppressible
-    /// — findings about the pass's own inputs must be fixed, not silenced.
+    /// (`suppression`, `crate-registry`) are not suppressible — findings
+    /// about the pass's own inputs must be fixed, not silenced.
     pub fn from_name(name: &str) -> Option<CheckId> {
         CHECK_REGISTRY
             .iter()
             .find(|info| info.layer != "meta" && info.check.name() == name)
             .map(|info| info.check)
-    }
-
-    /// Whether the check is one of the workspace-model (semantic) checks
-    /// — call-graph, field-level, or concurrency layer in the registry —
-    /// the only findings the baseline ratchet may carry.
-    pub fn is_semantic(self) -> bool {
-        CHECK_REGISTRY.iter().any(|info| {
-            info.check == self && matches!(info.layer, "call-graph" | "field-level" | "concurrency")
-        })
     }
 }
 
@@ -120,9 +107,9 @@ pub struct CheckInfo {
 }
 
 /// Every registered check, in `CheckId` order — the one place the check
-/// list is written. `--list-checks` renders it, suppression names and
-/// baseline eligibility derive from its `layer` column, and tests hold it
-/// against [`CheckId`] and `docs/STATIC_ANALYSIS.md`.
+/// list is written. `--list-checks` renders it, suppression names derive
+/// from its `layer` column, and tests hold it against [`CheckId`] and
+/// `docs/STATIC_ANALYSIS.md`.
 pub const CHECK_REGISTRY: &[CheckInfo] = &[
     CheckInfo {
         check: CheckId::Determinism,
@@ -202,12 +189,6 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         contract: "every crates/* directory has a policy row; every scanned source file is readable",
         scope: "crates/* directories and the files of registered crates",
     },
-    CheckInfo {
-        check: CheckId::Baseline,
-        layer: "meta",
-        contract: "every tidy-baseline.json entry is live, unique, and justified",
-        scope: "tidy-baseline.json at the workspace root",
-    },
 ];
 
 /// The check names a `tidy:allow(...)` may legally name, comma-separated
@@ -232,29 +213,17 @@ pub struct Diagnostic {
     pub check: CheckId,
     /// What is wrong and what to do instead.
     pub message: String,
-    /// Stable symbol the finding is about (a qualified function name for
-    /// the call-graph checks, a cycle signature for lock-order). Empty
-    /// for purely lexical findings. Baseline entries match on
-    /// `(check, file, symbol)` so line churn never invalidates them.
-    pub symbol: String,
 }
 
 impl Diagnostic {
-    /// Builds a diagnostic with no symbol (lexical findings).
+    /// Builds a diagnostic.
     pub fn new(file: &str, line: usize, check: CheckId, message: impl Into<String>) -> Self {
         Diagnostic {
             file: file.to_owned(),
             line,
             check,
             message: message.into(),
-            symbol: String::new(),
         }
-    }
-
-    /// Attaches the stable symbol used for baseline matching.
-    pub fn with_symbol(mut self, symbol: impl Into<String>) -> Self {
-        self.symbol = symbol.into();
-        self
     }
 }
 
@@ -300,26 +269,9 @@ mod tests {
         }
         assert_eq!(CheckId::from_name("suppression"), None);
         assert_eq!(CheckId::from_name("crate-registry"), None);
-        assert_eq!(CheckId::from_name("baseline"), None);
+        assert_eq!(CheckId::from_name("baseline"), None, "retired");
         assert_eq!(CheckId::from_name("panic-policy"), None, "retired");
         assert_eq!(CheckId::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn only_workspace_model_checks_are_semantic() {
-        assert!(CheckId::PanicReach.is_semantic());
-        assert!(CheckId::DeterminismTaint.is_semantic());
-        assert!(CheckId::LockOrder.is_semantic());
-        assert!(CheckId::ForkCoverage.is_semantic());
-        assert!(CheckId::CowAliasing.is_semantic());
-        assert!(CheckId::FloatDeterminism.is_semantic());
-        assert!(CheckId::ThreadLifecycle.is_semantic());
-        assert!(CheckId::QueueBounds.is_semantic());
-        assert!(CheckId::ErrorPolicy.is_semantic());
-        assert!(!CheckId::Determinism.is_semantic());
-        assert!(!CheckId::NetPolicy.is_semantic());
-        assert!(!CheckId::CrateRegistry.is_semantic());
-        assert!(!CheckId::Baseline.is_semantic());
     }
 
     #[test]
@@ -330,14 +282,11 @@ mod tests {
         for pair in CHECK_REGISTRY.windows(2) {
             assert!(pair[0].check < pair[1].check, "registry out of order");
         }
-        assert_eq!(CHECK_REGISTRY.len(), 14, "new CheckId? register it here");
+        assert_eq!(CHECK_REGISTRY.len(), 13, "new CheckId? register it here");
         for info in CHECK_REGISTRY {
             assert_eq!(
                 CheckId::from_name(info.check.name()).is_some(),
-                !matches!(
-                    info.check,
-                    CheckId::Suppression | CheckId::CrateRegistry | CheckId::Baseline
-                ),
+                !matches!(info.check, CheckId::Suppression | CheckId::CrateRegistry),
                 "suppressibility drifted for {}",
                 info.check
             );

@@ -51,12 +51,11 @@
 //! | `queue-bounds` | concurrency | queue constructions that neither fix a capacity nor name their bound in a `// bound: …` comment |
 //! | `error-policy` | concurrency | `let _ =` / statement-`.ok()` discards and dropped `#[must_use]` results in service-crate library code |
 //! | `crate-registry` | meta | a `crates/*` directory with no row in the policy table, or an unreadable source file |
-//! | `baseline` | meta | stale, duplicate, unjustified, or malformed `tidy-baseline.json` entries |
 //!
 //! The per-crate policy table lives in [`policy`]; which checks apply where
 //! is data, not convention.
 //!
-//! # Suppressions and the baseline
+//! # Suppressions
 //!
 //! A finding is silenced inline with
 //!
@@ -70,19 +69,13 @@
 //! suppression that no longer silences anything is reported as unused so
 //! stale escapes cannot accumulate. For the semantic checks a suppression
 //! on a function's signature line is also a propagation *barrier*.
-//!
-//! Semantic findings can alternatively be carried as known debt in
-//! `tidy-baseline.json` ([`baseline`]) — a one-way ratchet: new findings
-//! fail, fixed findings must be deleted, every entry needs a
-//! justification. See `docs/STATIC_ANALYSIS.md` for when to suppress
-//! inline versus baseline.
+//! Suppressions are the only escape hatch.
 //!
 //! # Running
 //!
 //! ```text
 //! cargo run -p eaao-tidy                       # non-zero exit on any finding
 //! cargo run -p eaao-tidy -- --json findings.json
-//! cargo run -p eaao-tidy -- --write-baseline
 //! cargo run -p eaao-tidy -- --list-checks      # registry: contract + scope per check
 //! ```
 //!
@@ -90,13 +83,11 @@
 //! byte-identical across runs on the same tree. The same driver backs the
 //! root CLI's `eaao tidy` subcommand.
 
-pub mod baseline;
 pub mod checks;
 pub mod cli;
 pub mod diag;
 pub mod fields;
 pub mod graph;
-pub mod jsonio;
 pub mod parse;
 pub mod policy;
 pub mod source;

@@ -5,7 +5,6 @@
 //! cargo run -p eaao-tidy                       # scan the enclosing workspace
 //! cargo run -p eaao-tidy -- --root PATH
 //! cargo run -p eaao-tidy -- --json findings.json
-//! cargo run -p eaao-tidy -- --write-baseline   # ratchet current semantic debt
 //! ```
 
 use std::process::ExitCode;

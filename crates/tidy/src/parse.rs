@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::source::{Line, SourceFile};
+use crate::source::{is_ident, Line, SourceFile};
 
 /// Visibility of an `fn` item, as far as the pass distinguishes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,11 +262,6 @@ pub struct FileModel {
     pub imports: BTreeMap<String, Vec<String>>,
     /// Glob import bases (`use a::b::*` records `[a, b]`).
     pub globs: Vec<Vec<String>>,
-}
-
-/// Identifier characters (same definition as the lexer).
-fn is_ident(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
 }
 
 /// Reserved words that can never be call targets.

@@ -72,7 +72,9 @@ impl SourceFile {
     }
 }
 
-fn is_ident(c: char) -> bool {
+/// Identifier characters: what the lexer, the item parser, and the
+/// token matchers all treat as part of a name.
+pub(crate) fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 

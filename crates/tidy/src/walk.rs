@@ -18,9 +18,7 @@
 //!    inline suppressions through a [`SuppressionOracle`] — alongside
 //!    the field-level checks and the concurrency-lifecycle checks
 //!    (thread-lifecycle, queue-bounds, error-policy),
-//! 3. suppressions are applied and accounted centrally, and
-//! 4. surviving *semantic* findings pass through the baseline ratchet
-//!    (`tidy-baseline.json`).
+//! 3. suppressions are applied and accounted centrally.
 //!
 //! Each phase is timed; `--timings` renders the breakdown so the
 //! analysis' own runtime stays an explicit budget.
@@ -28,7 +26,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{self, Baseline, BASELINE_FILE};
 use crate::checks::{self, SuppressionOracle};
 use crate::diag::{CheckId, Diagnostic};
 use crate::fields::{self, FieldModel};
@@ -40,14 +37,10 @@ use crate::source::SourceFile;
 /// The result of a full workspace scan.
 #[derive(Debug, Default)]
 pub struct ScanOutcome {
-    /// Everything that fails the run: lexical findings, post-baseline
-    /// semantic findings, suppression and baseline meta-findings. Sorted
-    /// by (file, line, check) and deduplicated.
+    /// Everything that fails the run: unsuppressed lexical and semantic
+    /// findings plus the meta-findings. Sorted by (file, line, check,
+    /// message) and deduplicated.
     pub findings: Vec<Diagnostic>,
-    /// Semantic findings *before* baseline filtering (post-suppression),
-    /// in the same sorted order — the input `--write-baseline` ratchets
-    /// from.
-    pub semantic: Vec<Diagnostic>,
     /// Wall-clock milliseconds per scan phase, in execution order — what
     /// `--timings` renders, and what the CI runtime-budget gate reads.
     pub timings: Vec<(&'static str, f64)>,
@@ -159,20 +152,17 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
     }
     lap("field+concurrency", &mut timings);
 
-    let mut semantic: Vec<Diagnostic> = Vec::new();
     {
         let mut oracle = WorkspaceSuppressions { files: &mut files };
-        checks::panic_reach::check(&ws, &mut oracle, &mut semantic);
-        checks::taint::check(&ws, &mut oracle, &mut semantic);
-        checks::lock_order::check(&ws, &mut oracle, &mut semantic);
+        checks::panic_reach::check(&ws, &mut oracle, &mut findings);
+        checks::taint::check(&ws, &mut oracle, &mut findings);
+        checks::lock_order::check(&ws, &mut oracle, &mut findings);
         for (file_idx, diag) in field_raw {
             if !oracle.suppressed(file_idx, diag.line, diag.check) {
-                semantic.push(diag);
+                findings.push(diag);
             }
         }
     }
-    sort_diags(&mut semantic);
-    semantic.dedup();
     lap("semantic", &mut timings);
 
     // Phase 3: apply + account suppressions for the lexical findings.
@@ -183,59 +173,18 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
         checks::account_suppressions(&ctx.rel, &ctx.src, &ctx.used, &mut findings);
     }
 
-    // Phase 4: the baseline ratchet over the semantic findings.
-    let (surviving, meta) = match load_baseline(root) {
-        Ok(b) => baseline::apply(&b, semantic.clone()),
-        Err(d) => (semantic.clone(), vec![d]),
-    };
-    findings.extend(surviving);
-    findings.extend(meta);
-
     check_registration(root, &mut findings);
-    sort_diags(&mut findings);
-    findings.dedup();
-    lap("suppress+baseline", &mut timings);
-    ScanOutcome {
-        findings,
-        semantic,
-        timings,
-    }
-}
-
-/// Loads and parses `tidy-baseline.json`; a missing file is an empty
-/// baseline, an unreadable or malformed one is a finding.
-pub fn load_baseline(root: &Path) -> Result<Baseline, Diagnostic> {
-    let path = root.join(BASELINE_FILE);
-    if !path.is_file() {
-        return Ok(Baseline::default());
-    }
-    match fs::read_to_string(&path) {
-        Ok(text) => Baseline::parse(&text).map_err(|err| {
-            Diagnostic::new(
-                BASELINE_FILE,
-                1,
-                CheckId::Baseline,
-                format!("cannot parse baseline: {err}"),
-            )
-        }),
-        Err(err) => Err(Diagnostic::new(
-            BASELINE_FILE,
-            1,
-            CheckId::Baseline,
-            format!("cannot read baseline: {err}"),
-        )),
-    }
-}
-
-fn sort_diags(diags: &mut [Diagnostic]) {
-    diags.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.check.name(), a.symbol.as_str()).cmp(&(
+    findings.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.check.name(), a.message.as_str()).cmp(&(
             b.file.as_str(),
             b.line,
             b.check.name(),
-            b.symbol.as_str(),
+            b.message.as_str(),
         ))
     });
+    findings.dedup();
+    lap("suppress", &mut timings);
+    ScanOutcome { findings, timings }
 }
 
 fn collect_crate(

@@ -104,6 +104,7 @@ pub fn time_to_expiration(
     precision: SimDuration,
 ) -> Option<SimDuration> {
     assert!(precision.as_nanos() > 0, "precision must be positive");
+    // tidy:allow(float-determinism) -- exact-zero and non-finite input guard before dividing; 0.0 is representable exactly and means no drift
     if rate == 0.0 || !rate.is_finite() {
         return None;
     }

@@ -49,6 +49,7 @@ impl RefinedTscFrequency {
     pub fn refine(actual: TscFrequency, measurement_error_hz: f64) -> Self {
         let measured_hz = actual.as_hz() + measurement_error_hz;
         assert!(measured_hz > 0.0, "refined frequency must be positive");
+        // tidy:allow(float-determinism) -- the documented frequency quantization boundary: round() against REFINEMENT_PRECISION_HZ fixes the rule entering the u64 lane
         RefinedTscFrequency((measured_hz / REFINEMENT_PRECISION_HZ).round() as u64)
     }
 

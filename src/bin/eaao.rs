@@ -7,7 +7,7 @@
 //! eaao explore     [--region R] [--seed N]
 //! eaao monitor     [--region R] [--seed N] [--windows N]
 //! eaao trace FILE
-//! eaao tidy        [--root DIR] [--json PATH|-] [--write-baseline] [--list-checks]
+//! eaao tidy        [--root DIR] [--json PATH|-] [--list-checks]
 //! ```
 //!
 //! Every command is deterministic under `--seed` and runs in milliseconds
@@ -43,9 +43,8 @@ fn main() {
         return;
     }
     if command == "tidy" {
-        // `tidy` owns its flags (--root/--json/--write-baseline/
-        // --list-checks); forward them untouched instead of parsing them
-        // as simulator flags.
+        // `tidy` owns its flags (--root/--json/--list-checks); forward
+        // them untouched instead of parsing them as simulator flags.
         std::process::exit(eaao_tidy::cli::run(&args).into());
     }
     let mut flags: HashMap<String, String> = HashMap::new();
@@ -138,7 +137,7 @@ fn usage_and_exit() -> ! {
            shutdown     ask a daemon to drain and exit: eaao shutdown --addr A\n\
            trace        summarize a JSONL trace file: eaao trace FILE\n\
            tidy         run the workspace static-analysis pass\n\
-                        [--root DIR] [--json PATH|-] [--write-baseline] [--list-checks]\n\
+                        [--root DIR] [--json PATH|-] [--list-checks]\n\
          common flags: --region us-east1|us-central1|us-west1   --seed N\n\
                        --trace FILE   write structured span/metrics events as JSONL"
     );
